@@ -204,25 +204,6 @@ pub const GATES: &[FigureGate] = &[
         nested: None,
     },
     FigureGate {
-        // The sharded path's gate targets merge-phase blowups, not absolute
-        // speed: `merge_share` is a ratio, so it stays comparable across
-        // machines where wall time would not, and a partitioner or
-        // boundary-enumeration regression shows up there first. Wall time
-        // keeps a wide band like the other smoke-sized timings.
-        figure: "shard",
-        context: &["smoke", "machine_cores"],
-        keys: &["dataset", "n", "shards"],
-        metrics: &[
-            MetricGate::lower("wall_s", 1.00, 0.010),
-            MetricGate::lower("merge_s", 1.50, 0.010),
-            MetricGate::lower("merge_share", 1.50, 0.10).with_sanity((0.0, 1.0)),
-            MetricGate::sanity_only("boundary_cells", (0.0, f64::INFINITY)),
-            MetricGate::sanity_only("boundary_edges", (0.0, f64::INFINITY)),
-            MetricGate::sanity_only("clusters", (0.0, f64::INFINITY)),
-        ],
-        nested: None,
-    },
-    FigureGate {
         figure: "fig6_eps_sweep",
         context: &["scale"],
         keys: &["name", "n", "min_pts"],

@@ -155,23 +155,6 @@ pub const SCHEMAS: &[DocSchema] = &[
         nested: None,
     },
     DocSchema {
-        figure: "shard",
-        top: &[("smoke", Kind::Bool), ("machine_cores", Kind::Num)],
-        rows: "series",
-        row_fields: &[
-            ("dataset", Kind::Str),
-            ("n", Kind::Num),
-            ("shards", Kind::Num),
-            ("wall_s", Kind::Num),
-            ("merge_s", Kind::Num),
-            ("merge_share", Kind::Num),
-            ("boundary_cells", Kind::Num),
-            ("boundary_edges", Kind::Num),
-            ("clusters", Kind::Num),
-        ],
-        nested: None,
-    },
-    DocSchema {
         figure: "fig6_eps_sweep",
         top: &[("scale", Kind::Num)],
         rows: "datasets",

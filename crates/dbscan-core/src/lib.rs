@@ -80,7 +80,7 @@ pub use connectivity::{bcp_scratch_stats, bichromatic_closest_pair, reset_bcp_sc
 pub use dbscan::{dbscan, dbscan_approx, Dbscan};
 pub use erased::{erased_pipeline, ErasedPipeline, ERASED_DIM_MAX, ERASED_DIM_MIN};
 pub use kernels::{active_backend, Backend};
-pub use mark_core::{mark_core, mark_core_cells};
+pub use mark_core::mark_core;
 pub use params::{
     CellGraphMethod, CellMethod, DbscanError, DbscanParams, MarkCoreMethod, SweepGrid,
     VariantConfig,

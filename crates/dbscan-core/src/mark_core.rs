@@ -116,92 +116,6 @@ pub fn mark_core<const D: usize>(
     CoreSet::from_flags(min_pts, core_flags, partition)
 }
 
-/// Shard-scoped MarkCore: computes the core flags of the points of `cells`
-/// only, against the full index (a point's ε-neighbourhood may extend into
-/// cells owned by other shards, so neighbouring cells are read — but only
-/// the listed cells' points are *decided* here).
-///
-/// Returns `(point id, is core)` pairs grouped by cell in the order given,
-/// ascending point position within each cell. The flags are identical to the
-/// corresponding entries of [`mark_core`]'s output: the per-point predicate
-/// is the same, evaluated against the same neighbour lists, so a union of
-/// shard outputs over a partition of the cells reproduces the global core
-/// set exactly.
-pub fn mark_core_cells<const D: usize>(
-    index: &SpatialIndex<D>,
-    min_pts: usize,
-    method: MarkCoreMethod,
-    cells: &[usize],
-) -> Vec<(usize, bool)> {
-    let eps = index.eps;
-    let partition = &index.partition;
-    let neighbors = &index.neighbors;
-    let _span = obs::Span::enter("core", obs::phase::SHARD_LOCAL)
-        .eps(eps)
-        .min_pts(min_pts)
-        .n(cells.iter().map(|&c| partition.cells[c].len).sum());
-
-    // Quadtrees for the cells a small owned cell will query, when requested.
-    let trees: Vec<Option<SubdivisionTree<D>>> = match method {
-        MarkCoreMethod::Scan => (0..partition.num_cells()).map(|_| None).collect(),
-        MarkCoreMethod::QuadTree => {
-            let mut needed = vec![false; partition.num_cells()];
-            for &c in cells {
-                if partition.cells[c].len < min_pts {
-                    for &h in &neighbors[c] {
-                        needed[h] = true;
-                    }
-                }
-            }
-            (0..partition.num_cells())
-                .into_par_iter()
-                .map(|c| {
-                    needed[c].then(|| {
-                        SubdivisionTree::build_exact(
-                            partition.cell_points(c),
-                            partition.cells[c].bbox,
-                        )
-                    })
-                })
-                .collect()
-        }
-    };
-
-    let per_cell: Vec<Vec<(usize, bool)>> = cells
-        .par_iter()
-        .map(|&c| {
-            let info = &partition.cells[c];
-            let ids = partition.cell_point_ids(c);
-            if info.len >= min_pts {
-                return ids.iter().map(|&pid| (pid, true)).collect();
-            }
-            let pts = partition.cell_points(c);
-            pts.iter()
-                .zip(ids)
-                .map(|(p, &pid)| {
-                    let mut count = info.len;
-                    if count < min_pts {
-                        for &h in &neighbors[c] {
-                            count += range_count(
-                                p,
-                                eps,
-                                partition.cell_points(h),
-                                trees[h].as_ref(),
-                                min_pts - count,
-                            );
-                            if count >= min_pts {
-                                break;
-                            }
-                        }
-                    }
-                    (pid, count >= min_pts)
-                })
-                .collect()
-        })
-        .collect();
-    per_cell.into_iter().flatten().collect()
-}
-
 /// Number of points of `cell_points` within ε of `p`, capped at `needed`
 /// (counting beyond the cap cannot change the core decision). The scan path
 /// runs the blocked branch-free kernel: hits accumulate without branches

@@ -309,7 +309,8 @@ impl VariantConfig {
 /// Errors reported by the DBSCAN entry points.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbscanError {
-    /// ε or minPts (or ρ) is out of range.
+    /// ε or minPts (or ρ) is out of range, or ε is too small for the extent
+    /// of the data for exact grid keys.
     InvalidParams(String),
     /// A 2D-only method (box cells, Delaunay or USEC cell graph) was
     /// requested for data of a different dimension.
@@ -328,6 +329,12 @@ impl fmt::Display for DbscanError {
 }
 
 impl std::error::Error for DbscanError {}
+
+impl From<spatial::KeyOverflow> for DbscanError {
+    fn from(err: spatial::KeyOverflow) -> Self {
+        DbscanError::InvalidParams(err.to_string())
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -56,7 +56,8 @@ impl<const D: usize> SpatialIndex<D> {
     ///
     /// Fails with [`DbscanError::RequiresTwoDimensions`] if the box method
     /// is requested for `D != 2`, and with [`DbscanError::InvalidParams`]
-    /// for a non-positive or non-finite ε.
+    /// for a non-positive or non-finite ε, or for a grid ε so small against
+    /// the extent of the points that cell keys would not be exact.
     pub fn build(
         points: &[Point<D>],
         eps: f64,
@@ -71,7 +72,7 @@ impl<const D: usize> SpatialIndex<D> {
             .eps(eps)
             .n(points.len());
         let partition = match cell_method {
-            CellMethod::Grid => grid_partition(points, eps),
+            CellMethod::Grid => grid_partition(points, eps)?,
             CellMethod::Box => {
                 if D != 2 {
                     return Err(DbscanError::RequiresTwoDimensions("the box cell method"));

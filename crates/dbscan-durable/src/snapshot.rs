@@ -28,7 +28,7 @@ use dbscan_engine::{Engine, Snapshot};
 use geom::{BoundingBox, Point};
 use pardbscan::{CellMethod, DbscanParams, SpatialIndex};
 use spatial::{CellInfo, CellPartition, GridIndex, NeighborGraph};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Magic bytes opening every snapshot header.
@@ -427,14 +427,18 @@ pub fn decode_snapshot<const D: usize>(buf: &[u8]) -> Result<SnapshotData<D>, Du
 }
 
 /// Writes `data` at `path` through `storage` with the atomic
-/// write-temporary → fsync → rename → directory-fsync commit protocol.
+/// write-temporary → fsync → rename → directory-fsync commit protocol. The
+/// temporary is `path` with `.tmp` appended, so concurrent writes of
+/// different files in one directory never share it.
 pub fn write_snapshot_file<const D: usize>(
     storage: &Arc<dyn Storage>,
     path: &Path,
     data: &SnapshotData<D>,
 ) -> Result<(), DurableError> {
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let tmp = dir.join("snapshot.tmp");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     let bytes = encode_snapshot(data);
     let mut file = storage.create(&tmp)?;
     file.write_all(&bytes)?;

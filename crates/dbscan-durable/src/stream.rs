@@ -434,13 +434,9 @@ impl<const D: usize> DurableClusterer<D> {
     /// fsync policy.
     pub fn apply(&mut self, batch: UpdateBatch<D>) -> Result<UpdateStats, DurableError> {
         // Validate before the WAL append: a logged record must never fail
-        // replay. (These mirror the inner clusterer's checks, in external
-        // id space.)
-        for (i, p) in batch.inserts.iter().enumerate() {
-            if !p.coords.iter().all(|c| c.is_finite()) {
-                return Err(StreamError::NonFinitePoint(i).into());
-            }
-        }
+        // replay. (The inserts go through the inner clusterer's own check;
+        // the deletes mirror its checks in external id space.)
+        self.inner.validate_inserts(&batch.inserts)?;
         let mut deletes_int = Vec::with_capacity(batch.deletes.len());
         let mut seen = HashSet::with_capacity(batch.deletes.len());
         for &ext in &batch.deletes {

@@ -196,12 +196,7 @@ impl<const D: usize> Snapshot<D> {
 
     /// Consumes the snapshot and returns its points, in input order. The
     /// bulk array is recovered without copying when no query result still
-    /// shares it. This is the hand-off used by
-    /// `dbscan_stream::IntoStreaming::into_streaming` to move a snapshot's
-    /// point set into a [`StreamingClusterer`] when the service switches
-    /// from sweep mode to ingest mode.
-    ///
-    /// [`StreamingClusterer`]: https://docs.rs/dbscan-stream
+    /// shares it.
     pub fn into_points(self) -> Vec<Point<D>> {
         Arc::try_unwrap(self.points).unwrap_or_else(|shared| (*shared).clone())
     }
@@ -213,24 +208,11 @@ impl<const D: usize> Snapshot<D> {
     /// clusterer from already-indexed phase-1 state instead of
     /// re-partitioning.
     pub fn cached_index(&self, eps: f64, cell_method: CellMethod) -> Option<Arc<SpatialIndex<D>>> {
-        self.cached_index_stamped(eps, cell_method)
-            .map(|(_, index)| index)
-    }
-
-    /// [`Snapshot::cached_index`] together with the cached index's
-    /// generation stamp, so callers serving work from the cached artifact
-    /// (the facade's sharded path) can attribute the reuse in EXPLAIN
-    /// output.
-    pub fn cached_index_stamped(
-        &self,
-        eps: f64,
-        cell_method: CellMethod,
-    ) -> Option<(u64, Arc<SpatialIndex<D>>)> {
         let key = IndexKey {
             eps_bits: eps.to_bits(),
             cell_method,
         };
-        lock(&self.partitions).get(&key)
+        lock(&self.partitions).get(&key).map(|(_, index)| index)
     }
 
     /// Every cached spatial index as `(generation, index)`, least recently

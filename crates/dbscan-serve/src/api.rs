@@ -32,6 +32,12 @@ static UPDATES: obs::LazyCounter = obs::LazyCounter::with_help(
 static DATASETS: obs::LazyGauge =
     obs::LazyGauge::with_help("dbscan_serve_datasets", "Datasets currently being served");
 
+/// Largest sweep a request may ask for, counted as ε values × minPts
+/// values × points in the generation: 2^24. A sweep holds a full labelling
+/// per grid cell until the response is built (about 4 MiB per cell at
+/// 200k points), so the bound caps that memory near 350 MiB.
+pub const MAX_SWEEP_LABELS: usize = 1 << 24;
+
 /// Handles one request end to end, with instrumentation. The returned
 /// response still carries `close: false`; the connection loop decides the
 /// final keep-alive disposition.
@@ -560,6 +566,22 @@ fn sweep(dataset: &Dataset, request: &Request) -> Response {
         Err(resp) => return resp,
     };
     let generation = dataset.session.current();
+    let labels = eps_grid
+        .len()
+        .saturating_mul(min_pts_grid.len())
+        .saturating_mul(generation.num_points());
+    if labels > MAX_SWEEP_LABELS {
+        return Response::error(
+            400,
+            &format!(
+                "sweep of {} eps × {} min_pts values over {} points needs {labels} labels, \
+                 more than the limit of {MAX_SWEEP_LABELS}",
+                eps_grid.len(),
+                min_pts_grid.len(),
+                generation.num_points(),
+            ),
+        );
+    }
     match generation.sweep((eps_grid.as_slice(), min_pts_grid.as_slice())) {
         Ok(cells) => {
             QUERIES.incr();

@@ -274,6 +274,27 @@ fn error_paths_answer_with_the_documented_statuses() {
     );
     assert_eq!(status, 400);
 
+    // At ε = 1e-14 these points lie 2^52 or more grid cells apart, past the
+    // range of exact cell keys; so does an insert at 1e300 at ε = 0.5.
+    let spread = "[0, 0, 100000, 100000, 100001, 100000, 100000, 100001]";
+    let (status, _) = request(
+        &addr,
+        "PUT",
+        "/datasets/spread?dim=2&eps=0.5&min_pts=2",
+        spread,
+    );
+    assert_eq!(status, 201);
+    let (status, _) = request(
+        &addr,
+        "GET",
+        "/datasets/spread/query?eps=1e-14&min_pts=2",
+        "",
+    );
+    assert_eq!(status, 400, "eps too small for the extent of the data");
+    let far = "{\"insert\": [1e300, 1e300]}";
+    let (status, _) = request(&addr, "POST", "/datasets/spread/updates", far);
+    assert_eq!(status, 400, "insert too far from the grid origin");
+
     handle.stop().expect("graceful stop");
 }
 
@@ -389,6 +410,32 @@ fn errors_share_one_json_shape_and_unknown_params_are_rejected() {
     );
     assert_eq!(status, 200, "allowed params rejected: {body}");
 
+    handle.stop().expect("graceful stop");
+}
+
+#[test]
+fn sweeps_past_the_label_bound_are_rejected_before_any_work() {
+    use dbscan_serve::api::MAX_SWEEP_LABELS;
+    let (addr, handle) = spawn_server();
+    // One label over the bound, then exactly at it.
+    for (n, eps_count, min_pts_count, labels, want) in [
+        (673, 97, 257, MAX_SWEEP_LABELS + 1, 400),
+        (4096, 64, 64, MAX_SWEEP_LABELS, 200),
+    ] {
+        assert_eq!(n * eps_count * min_pts_count, labels);
+        let path = format!("/v1/datasets/n{n}?dim=2&eps=0.5&min_pts=3");
+        let (status, body) = request(&addr, "PUT", &path, &coords_json(&vec![0.0; 2 * n]));
+        assert_eq!(status, 201, "create failed: {body}");
+        let sweep = format!(
+            "/v1/datasets/n{n}/sweep?eps={}&min_pts={}",
+            vec!["0.5"; eps_count].join(","),
+            vec!["3"; min_pts_count].join(",")
+        );
+        let (status, body) = request(&addr, "GET", &sweep, "");
+        assert_eq!(status, want, "sweep over {n} points: {body}");
+        let (status, _) = request(&addr, "GET", "/v1/healthz", "");
+        assert_eq!(status, 200);
+    }
     handle.stop().expect("graceful stop");
 }
 

@@ -5,7 +5,7 @@ use dbscan_engine::{Engine, Snapshot};
 use geom::Point;
 use pardbscan::pipeline::SpatialIndex;
 use pardbscan::{
-    connect_region, mark_core, mark_core_region, CellMethod, Clustering, DbscanParams,
+    connect_region, mark_core, mark_core_region, CellMethod, Clustering, DbscanError, DbscanParams,
     MarkCoreMethod,
 };
 use rayon::prelude::*;
@@ -95,6 +95,23 @@ impl<const D: usize> StreamingClusterer<D> {
     pub fn new(points: Vec<Point<D>>, params: DbscanParams) -> Result<Self, StreamError> {
         params.validate()?;
         let index = SpatialIndex::build(&points, params.eps, CellMethod::Grid)?;
+        Self::from_index(&index, params.min_pts)
+    }
+
+    /// Starts maintaining an engine [`Snapshot`]'s point set under
+    /// `params`. Reuses the snapshot's cached grid spatial index for
+    /// `params.eps` when one exists (skipping the re-partition entirely);
+    /// otherwise indexes from scratch. The snapshot is only borrowed, so it
+    /// is still there to serve queries when this fails.
+    pub fn from_snapshot(
+        snapshot: &Snapshot<D>,
+        params: DbscanParams,
+    ) -> Result<Self, StreamError> {
+        params.validate()?;
+        if let Some(index) = snapshot.cached_index(params.eps, CellMethod::Grid) {
+            return Self::from_index(&index, params.min_pts);
+        }
+        let index = SpatialIndex::build(snapshot.points(), params.eps, CellMethod::Grid)?;
         Self::from_index(&index, params.min_pts)
     }
 
@@ -223,6 +240,23 @@ impl<const D: usize> StreamingClusterer<D> {
         self.apply(UpdateBatch::deletes(vec![id]))
     }
 
+    /// Checks a batch's inserts as [`StreamingClusterer::apply`] does before
+    /// it applies anything: every coordinate finite
+    /// ([`StreamError::NonFinitePoint`]) and every point close enough to the
+    /// grid origin for an exact cell key ([`StreamError::Dbscan`] with
+    /// [`DbscanError::InvalidParams`]: ε is too small for the point).
+    pub fn validate_inserts(&self, inserts: &[Point<D>]) -> Result<(), StreamError> {
+        for (i, p) in inserts.iter().enumerate() {
+            if !p.coords.iter().all(|c| c.is_finite()) {
+                return Err(StreamError::NonFinitePoint(i));
+            }
+            self.overlay.check_key_range(p).map_err(|overflow| {
+                DbscanError::InvalidParams(format!("insert #{i}: {overflow}"))
+            })?;
+        }
+        Ok(())
+    }
+
     /// Applies a batch of updates, maintaining labels incrementally.
     ///
     /// The batch is validated first and rejected atomically (nothing is
@@ -235,11 +269,7 @@ impl<const D: usize> StreamingClusterer<D> {
     pub fn apply(&mut self, batch: UpdateBatch<D>) -> Result<UpdateStats, StreamError> {
         let start = Instant::now();
         // Validate up front: the batch either fully applies or not at all.
-        for (i, p) in batch.inserts.iter().enumerate() {
-            if !p.coords.iter().all(|c| c.is_finite()) {
-                return Err(StreamError::NonFinitePoint(i));
-            }
-        }
+        self.validate_inserts(&batch.inserts)?;
         let mut seen = HashSet::with_capacity(batch.deletes.len());
         for &id in &batch.deletes {
             if !self.overlay.is_alive(id) {
@@ -710,19 +740,14 @@ impl<const D: usize> StreamingClusterer<D> {
 /// trait so `dbscan-engine` does not need to depend on this crate.
 pub trait IntoStreaming<const D: usize> {
     /// Consumes the snapshot and starts maintaining its point set
-    /// incrementally under `params`. Reuses the snapshot's cached grid
-    /// spatial index for `params.eps` when one exists (skipping the
-    /// re-partition entirely); otherwise indexes from scratch.
+    /// incrementally under `params`: [`StreamingClusterer::from_snapshot`]
+    /// for callers that are done with the snapshot.
     fn into_streaming(self, params: DbscanParams) -> Result<StreamingClusterer<D>, StreamError>;
 }
 
 impl<const D: usize> IntoStreaming<D> for Snapshot<D> {
     fn into_streaming(self, params: DbscanParams) -> Result<StreamingClusterer<D>, StreamError> {
-        params.validate()?;
-        if let Some(index) = self.cached_index(params.eps, CellMethod::Grid) {
-            return StreamingClusterer::from_index(&index, params.min_pts);
-        }
-        StreamingClusterer::new(self.into_points(), params)
+        StreamingClusterer::from_snapshot(&self, params)
     }
 }
 

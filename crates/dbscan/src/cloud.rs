@@ -1,12 +1,20 @@
 //! Runtime-dimension point storage with ingest-time validation.
 //!
 //! The monomorphized pipelines underneath this crate quantize coordinates
-//! into grid cell keys with `(x / side).floor() as i64` — an operation that
-//! *silently corrupts* the key when `x` is NaN or infinite (the cast
-//! saturates, so bad points land in arbitrary cells instead of failing).
-//! [`PointCloud`] is where that class of bug is stopped: every constructor
-//! validates finiteness and arity once, so everything downstream — one-shot
-//! runs, engine sweeps, streaming updates — can assume clean input.
+//! into grid cell keys with `((x − origin) / side).floor() as i64`, and the
+//! `as i64` cast saturates instead of failing. Two kinds of input would
+//! silently share cells that way, and each is rejected where it can be
+//! detected:
+//!
+//! * NaN and ±∞ coordinates, whatever ε is. [`PointCloud`] rejects them:
+//!   every constructor validates finiteness and arity once, so everything
+//!   downstream — one-shot runs, engine sweeps, streaming updates — sees
+//!   finite input.
+//! * Finite coordinates that lie 2^52 or more cells of side ε/√D from the
+//!   grid origin. This depends on ε, which a cloud does not know, so the
+//!   grid build (one-shot runs, queries, sweeps, the start of a streaming
+//!   episode) and the streaming batch validation reject it with
+//!   [`Error::InvalidParams`]; a rejected batch applies nothing.
 
 use crate::error::Error;
 

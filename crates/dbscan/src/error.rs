@@ -43,7 +43,9 @@ pub enum Error {
     /// A construction that infers the dimensionality from its input (e.g.
     /// [`crate::PointCloud::from_rows`]) was given no points to infer from.
     EmptyCloud,
-    /// ε, minPts or ρ is out of range (from the pipeline's validators).
+    /// ε, minPts or ρ is out of range, or ε is so small against the extent
+    /// of the points that grid cell keys would not be exact (from the
+    /// pipeline's validators and the grid build).
     InvalidParams(String),
     /// A 2D-only method was requested for data of a different dimension.
     RequiresTwoDimensions(&'static str),

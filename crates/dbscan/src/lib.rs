@@ -10,7 +10,7 @@
 //!
 //! * [`PointCloud`] — flat `Vec<f64>` plus a runtime `dim`, validated at
 //!   construction (finite coordinates, consistent arity) with a typed
-//!   [`Error`] instead of silently corrupted grid keys later;
+//!   [`Error`];
 //! * [`ClusterSession`] — ingest → index → query → sweep →
 //!   streaming-update as one lifecycle, dispatching to the monomorphized
 //!   pipelines for dimensions 2..=8 through a macro-generated jump table
@@ -82,19 +82,6 @@ pub use pardbscan::DbscanParams as Params;
 /// values, plus the algorithm variant to run them under. Build one with
 /// [`SweepGrid::new`] or convert from a tuple of arrays/slices/vecs.
 pub use pardbscan::SweepGrid;
-
-/// Configuration of the cell-graph-sharded clustering path — see
-/// [`SessionBuilder::shard`] and [`ClusterSession::cluster_sharded`].
-pub use dbscan_shard::ShardConfig;
-
-/// Statistics of one sharded clustering run (boundary-cell/edge counts,
-/// per-phase wall times including the merge phase).
-pub use dbscan_shard::ShardStats;
-
-/// The cell-graph-sharded clustering crate (shard-local phases plus the
-/// boundary-edge merge coordinator) — the advanced statically-typed
-/// interface behind [`SessionBuilder::shard`].
-pub use dbscan_shard as shard;
 
 /// Per-point label detail (core / border / noise), re-exported from the
 /// pipeline.

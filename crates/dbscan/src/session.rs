@@ -26,27 +26,25 @@ use crate::error::Error;
 use crate::labels::Labels;
 use dbscan_durable::{DurableClusterer, DurableOptions, RealStorage, Storage};
 use dbscan_engine::{CacheStats, Engine, QueryStats, Snapshot};
-use dbscan_shard::{shard_cluster_on_index, ShardConfig, ShardStats};
-use dbscan_stream::{IntoStreaming, StreamingClusterer, UpdateBatch, UpdateStats};
+use dbscan_stream::{StreamingClusterer, UpdateBatch, UpdateStats};
 use geom::{points_from_flat, Point};
-use pardbscan::pipeline::SpatialIndex;
-use pardbscan::{CellMethod, DbscanParams, SweepGrid, VariantConfig};
-use spatial::ShardAssignment;
+use pardbscan::{DbscanParams, SweepGrid, VariantConfig};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Configures and opens [`ClusterSession`]s.
 ///
-/// The knobs mirror the engine's: how many spatial indexes (distinct ε
-/// values, roughly) and core sets (distinct `(ε, minPts)` pairs) the
-/// session caches between queries. The same configuration is reapplied
-/// when a streaming handle freezes back into sweep mode.
+/// Two kinds of knob. The cache capacities mirror the engine's: how many
+/// spatial indexes (distinct ε values, roughly) and core sets (distinct
+/// `(ε, minPts)` pairs) the session caches between queries; they are
+/// reapplied when a streaming handle freezes back into sweep mode.
+/// [`SessionBuilder::durable`] persists the point set and write-ahead logs
+/// every streaming update. Every session clusters through the same engine
+/// pipeline, whichever knobs are set.
 #[derive(Debug, Clone, Default)]
 pub struct SessionBuilder {
     engine: Engine,
     durable: Option<(PathBuf, DurableOptions)>,
-    shard: Option<ShardConfig>,
 }
 
 impl SessionBuilder {
@@ -77,22 +75,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Runs [`ClusterSession::cluster`] through the cell-graph-sharded path
-    /// of the `dbscan-shard` crate: the grid cells are partitioned across
-    /// `config.num_shards` workers, MarkCore and the intra-shard cell graph
-    /// run locally per shard, and only boundary-cell edges are merged at a
-    /// coordinator. Labels are byte-identical to the unsharded engine; the
-    /// merge phase appears as its own phase in
-    /// [`ClusterSession::explain_last`].
-    ///
-    /// The sharded path covers the default exact variant;
-    /// [`ClusterSession::query`] with an explicit variant and sweeps keep
-    /// using the engine snapshot (and its caches) directly.
-    pub fn shard(mut self, config: ShardConfig) -> Self {
-        self.shard = Some(config);
-        self
-    }
-
     /// Ingests a validated point cloud and opens the session. Fails with
     /// [`Error::UnsupportedDimension`] when the cloud's dimensionality is
     /// outside 2..=8. With [`SessionBuilder::durable`] configured, also
@@ -100,12 +82,7 @@ impl SessionBuilder {
     pub fn ingest(self, cloud: PointCloud) -> Result<ClusterSession, Error> {
         let dim = cloud.dim();
         let inner = open_session(self.engine, &cloud, self.durable)?;
-        Ok(ClusterSession {
-            dim,
-            inner,
-            shard: self.shard,
-            last_explain: Mutex::new(None),
-        })
+        Ok(ClusterSession::from_parts(dim, inner))
     }
 
     /// Opens the session persisted in the durable store at `dir`: recovers
@@ -121,12 +98,7 @@ impl SessionBuilder {
         let storage = RealStorage::shared();
         let dim = dbscan_durable::store_dim(&storage, dir)? as usize;
         let inner = open_durable_session(self.engine, storage, dir, options, dim)?;
-        Ok(ClusterSession {
-            dim,
-            inner,
-            shard: self.shard,
-            last_explain: Mutex::new(None),
-        })
+        Ok(ClusterSession::from_parts(dim, inner))
     }
 }
 
@@ -150,33 +122,6 @@ fn phases_from_query(stats: &QueryStats) -> Vec<obs::PhaseExecution> {
         },
         obs::PhaseExecution::ran(obs::phase::CLUSTER_CORE, stats.cluster_core_time),
         obs::PhaseExecution::ran(obs::phase::CLUSTER_BORDER, stats.cluster_border_time),
-    ]
-}
-
-/// The EXPLAIN phase list of one sharded cluster run. MarkCore and the
-/// local connect report one run per shard; the merge phase appears under
-/// its own [`obs::phase::SHARD_MERGE`] name. A reused cached spatial index
-/// shows the partition as skipped by that index's generation.
-fn phases_from_shard(
-    stats: &ShardStats,
-    index_generation: Option<u64>,
-) -> Vec<obs::PhaseExecution> {
-    let per_shard = |phase: &'static str, duration: Duration| obs::PhaseExecution {
-        phase,
-        runs: stats.num_shards,
-        skips: 0,
-        skipped_by_generation: None,
-        duration,
-    };
-    vec![
-        match index_generation {
-            Some(generation) => obs::PhaseExecution::skipped(obs::phase::PARTITION, generation),
-            None => obs::PhaseExecution::ran(obs::phase::PARTITION, stats.partition_time),
-        },
-        per_shard(obs::phase::MARK_CORE, stats.mark_core_time),
-        per_shard(obs::phase::SHARD_LOCAL, stats.local_connect_time),
-        obs::PhaseExecution::ran(obs::phase::SHARD_MERGE, stats.merge_time),
-        obs::PhaseExecution::ran(obs::phase::CLUSTER_BORDER, stats.border_time),
     ]
 }
 
@@ -332,9 +277,6 @@ pub struct QueryOutcome {
 pub struct ClusterSession {
     dim: usize,
     pub(crate) inner: Box<dyn ErasedSession>,
-    /// Set by [`SessionBuilder::shard`]: routes [`ClusterSession::cluster`]
-    /// through the sharded path.
-    shard: Option<ShardConfig>,
     /// EXPLAIN report of the most recent successful query/sweep/apply.
     /// Interior mutability because `query`/`sweep` take `&self`.
     last_explain: Mutex<Option<obs::ExplainReport>>,
@@ -400,14 +342,13 @@ impl ClusterSession {
         SessionBuilder::new().open_durable(dir, options)
     }
 
-    /// Wraps an already-dispatched session state — the constructor the
-    /// generational publish path uses for each immutable published
-    /// generation.
+    /// Wraps an already-dispatched session state — the constructor behind
+    /// the builder and the generational publish path, which uses it for
+    /// each immutable published generation.
     pub(crate) fn from_parts(dim: usize, inner: Box<dyn ErasedSession>) -> Self {
         ClusterSession {
             dim,
             inner,
-            shard: None,
             last_explain: Mutex::new(None),
         }
     }
@@ -439,51 +380,13 @@ impl ClusterSession {
     }
 
     /// Clusters the session's points with the paper's default exact
-    /// variant, reusing cached phase state where possible. Accepts anything
+    /// variant (`our-exact`), reusing cached phase state where possible:
+    /// shorthand for [`ClusterSession::query`] with
+    /// [`VariantConfig::exact`], keeping only the labels. Accepts anything
     /// convertible into [`crate::Params`] — `Params::new(0.5, 3)` or the
     /// tuple `(0.5, 3)`.
-    ///
-    /// With [`SessionBuilder::shard`] configured, the run goes through the
-    /// cell-graph-sharded path instead of the engine snapshot; the labels
-    /// are identical either way.
     pub fn cluster(&self, params: impl Into<DbscanParams>) -> Result<Labels, Error> {
-        let params = params.into();
-        match self.shard {
-            Some(config) => Ok(self.cluster_sharded(params, config)?.0),
-            None => Ok(self.query(params, VariantConfig::exact())?.labels),
-        }
-    }
-
-    /// Runs the cell-graph-sharded clustering path explicitly (regardless
-    /// of whether the builder configured it), returning the labels together
-    /// with the run's [`ShardStats`] — shard count, boundary-cell and
-    /// boundary-edge counts, and per-phase wall times including the merge
-    /// phase. The session's cached spatial index for `params.eps` is reused
-    /// when one exists.
-    pub fn cluster_sharded(
-        &self,
-        params: impl Into<DbscanParams>,
-        config: ShardConfig,
-    ) -> Result<(Labels, ShardStats), Error> {
-        let params = params.into();
-        let scope = obs::OpScope::begin_with_pool("cluster_sharded", rayon::pool_busy_nanos());
-        let (labels, stats, index_generation) = {
-            let _span = obs::Span::enter("session", obs::phase::QUERY)
-                .eps(params.eps)
-                .min_pts(params.min_pts)
-                .n(self.num_points());
-            self.inner.cluster_sharded(params, config.num_shards)
-        }?;
-        let mut report = scope.finish_with_pool(rayon::pool_busy_nanos(), rayon::pool_threads());
-        report.variant = format!("exact, sharded over {} shards", stats.num_shards);
-        report.eps = params.eps;
-        report.min_pts = params.min_pts;
-        report.n = self.num_points();
-        report.cells_visited = stats.num_cells;
-        report.num_core_points = stats.num_core_points;
-        report.phases = phases_from_shard(&stats, index_generation);
-        self.store_explain(report);
-        Ok((labels, stats))
+        Ok(self.query(params, VariantConfig::exact())?.labels)
     }
 
     /// Runs an explicit algorithm variant and returns the labels together
@@ -761,14 +664,6 @@ impl Drop for UpdateHandle<'_> {
 pub(crate) trait ErasedSession: Send + Sync {
     fn num_points(&self) -> usize;
     fn query(&self, params: DbscanParams, variant: VariantConfig) -> Result<QueryOutcome, Error>;
-    /// The cell-graph-sharded cluster path (indexed mode only): labels,
-    /// the run's [`ShardStats`], and — when a cached spatial index served
-    /// the partition phase — that index's generation stamp.
-    fn cluster_sharded(
-        &self,
-        params: DbscanParams,
-        num_shards: usize,
-    ) -> Result<(Labels, ShardStats, Option<u64>), Error>;
     fn sweep(
         &self,
         eps_grid: &[f64],
@@ -873,37 +768,6 @@ impl<const D: usize> ErasedSession for SessionState<D> {
         })
     }
 
-    fn cluster_sharded(
-        &self,
-        params: DbscanParams,
-        num_shards: usize,
-    ) -> Result<(Labels, ShardStats, Option<u64>), Error> {
-        params.validate().map_err(Error::from)?;
-        let snapshot = self.snapshot();
-        // Reuse the snapshot's cached phase-1 state when a grid index for
-        // this ε exists; otherwise build one (without inserting it — cache
-        // admission stays the engine's decision, made on its own queries).
-        let (index, generation, partition_time) =
-            match snapshot.cached_index_stamped(params.eps, CellMethod::Grid) {
-                Some((generation, index)) => (index, Some(generation), Duration::ZERO),
-                None => {
-                    let start = Instant::now();
-                    let index = Arc::new(SpatialIndex::build(
-                        snapshot.points(),
-                        params.eps,
-                        CellMethod::Grid,
-                    )?);
-                    (index, None, start.elapsed())
-                }
-            };
-        let assignment =
-            ShardAssignment::build(&index.partition.cells, &index.neighbors, num_shards);
-        let (clustering, mut stats) = shard_cluster_on_index(&index, params.min_pts, &assignment);
-        stats.partition_time = partition_time;
-        stats.total_time += partition_time;
-        Ok((Labels::from(clustering), stats, generation))
-    }
-
     fn sweep(
         &self,
         eps_grid: &[f64],
@@ -929,48 +793,25 @@ impl<const D: usize> ErasedSession for SessionState<D> {
     }
 
     fn begin_updates(&mut self, params: DbscanParams) -> Result<(), Error> {
-        // Validate before consuming the snapshot: with valid parameters the
-        // grid-backed conversion below cannot fail, so the session is never
-        // left without a mode.
         params.validate().map_err(Error::from)?;
-        if let Some((dir, options)) = self.durable.clone() {
+        // Both branches build from the borrowed snapshot and switch modes
+        // only on success, so a failed start (an ε too small for the extent
+        // of the points, a store I/O error) leaves the session serviceable.
+        let snapshot = self.snapshot();
+        self.mode = if let Some((dir, options)) = &self.durable {
             // Durable episode: re-found the store on the current live set
             // (stable ids are per-episode, so the store's external ids — a
             // fresh `0..n` — coincide with the episode's ids) and log every
             // batch from here on.
-            let snapshot = match std::mem::replace(&mut self.mode, Mode::Transitioning) {
-                Mode::Indexed(snapshot) => snapshot,
-                other => {
-                    self.mode = other;
-                    unreachable!("begin_updates requires the indexed mode")
-                }
-            };
             let points = snapshot.points().to_vec();
-            match DurableClusterer::create(RealStorage::shared(), &dir, points, params, options) {
-                Ok(durable) => {
-                    self.mode = Mode::DurableStreaming(Box::new(durable));
-                    Ok(())
-                }
-                Err(err) => {
-                    // Leave the session serviceable: the snapshot is
-                    // untouched by the failed store initialization.
-                    self.mode = Mode::Indexed(snapshot);
-                    Err(err.into())
-                }
-            }
+            let durable =
+                DurableClusterer::create(RealStorage::shared(), dir, points, params, *options)?;
+            Mode::DurableStreaming(Box::new(durable))
         } else {
-            match std::mem::replace(&mut self.mode, Mode::Transitioning) {
-                Mode::Indexed(snapshot) => {
-                    let clusterer = (*snapshot).into_streaming(params)?;
-                    self.mode = Mode::Streaming(Box::new(clusterer));
-                    Ok(())
-                }
-                other => {
-                    self.mode = other;
-                    unreachable!("begin_updates requires the indexed mode")
-                }
-            }
-        }
+            let clusterer = StreamingClusterer::from_snapshot(snapshot, params)?;
+            Mode::Streaming(Box::new(clusterer))
+        };
+        Ok(())
     }
 
     fn apply(&mut self, insert_coords: &[f64], deletes: &[usize]) -> Result<UpdateStats, Error> {
@@ -1323,50 +1164,6 @@ mod tests {
         ));
         // A failed `updates` must leave the session serviceable.
         assert!(session.cluster(DbscanParams::new(0.2, 3)).is_ok());
-    }
-
-    #[test]
-    fn sharded_sessions_match_the_engine_and_explain_the_merge() {
-        let params = DbscanParams::new(0.2, 4);
-        let plain = ClusterSession::ingest(grid_cloud(10, 0.1)).unwrap();
-        let expected = plain.cluster(params).unwrap();
-
-        let sharded = ClusterSession::builder()
-            .shard(ShardConfig::new(4))
-            .ingest(grid_cloud(10, 0.1))
-            .unwrap();
-        // Tuple params convert on every entry point of the redesigned API.
-        assert_eq!(sharded.cluster((0.2, 4)).unwrap(), expected);
-        let explain = sharded.explain_last().unwrap();
-        assert!(
-            explain
-                .phases
-                .iter()
-                .any(|p| p.phase == obs::phase::SHARD_MERGE),
-            "the merge phase must be visible in EXPLAIN output"
-        );
-        let local = explain
-            .phases
-            .iter()
-            .find(|p| p.phase == obs::phase::SHARD_LOCAL)
-            .expect("shard-local phase present");
-        assert_eq!(local.runs, 4, "one local-connect run per shard");
-
-        // The explicit method works without builder configuration, and a
-        // cached index (from the plain cluster above) is attributed as a
-        // skipped partition phase.
-        let (labels, stats) = plain
-            .cluster_sharded((0.2, 4), ShardConfig::new(2))
-            .unwrap();
-        assert_eq!(labels, expected);
-        assert_eq!(stats.num_shards, 2);
-        let explain = plain.explain_last().unwrap();
-        let partition = explain
-            .phases
-            .iter()
-            .find(|p| p.phase == obs::phase::PARTITION)
-            .expect("partition phase present");
-        assert_eq!(partition.skips, 1, "cached index reused");
     }
 
     #[test]

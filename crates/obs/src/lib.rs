@@ -190,12 +190,6 @@ pub mod phase {
     pub const PUBLISH: &str = "publish";
     /// Serving one HTTP request (`dbscan-serve`), parse to flush.
     pub const REQUEST: &str = "request";
-    /// Shard-local work of a sharded clustering run (`dbscan-shard`):
-    /// per-shard MarkCore and intra-shard cell-graph BCP.
-    pub const SHARD_LOCAL: &str = "shard_local";
-    /// The merge phase of a sharded clustering run: boundary-edge BCP at the
-    /// coordinator plus component stitching into global labels.
-    pub const SHARD_MERGE: &str = "shard_merge";
 }
 
 /// A monotonically assigned per-thread id, used in span records. Stable for

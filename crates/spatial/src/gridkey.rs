@@ -8,6 +8,55 @@
 
 use geom::{BoundingBox, Point};
 use parprims::ConcurrentMap;
+use std::fmt;
+
+/// Exclusive bound on a quantized coordinate `|x − origin| / side`: 2^52.
+/// Below it a cell key, its candidate neighbour keys (offsets of at most
+/// `⌈√D⌉ + 1`) and the `key as f64` of [`cell_bbox`] are all exact. Past
+/// 2^63 the `as i64` cast in [`cell_key`] saturates, so far-apart points
+/// would share one cell.
+pub const MAX_QUANTIZED: f64 = 4_503_599_627_370_496.0;
+
+/// A coordinate too far from the grid origin, in cells, for an exact cell
+/// key: ε is too small for the extent of the data.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KeyOverflow {
+    /// Axis of the offending coordinate.
+    pub axis: usize,
+    /// Its distance from the grid origin in cells, `|x − origin| / side`.
+    pub cells: f64,
+}
+
+impl fmt::Display for KeyOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "a coordinate on axis {} lies {:e} grid cells from the grid origin, \
+             past the 2^52 cells that cell keys represent exactly; eps is too \
+             small for the extent of the data",
+            self.axis, self.cells
+        )
+    }
+}
+
+impl std::error::Error for KeyOverflow {}
+
+/// Checks that every coordinate of `p` lies less than [`MAX_QUANTIZED`]
+/// cells of side `side` from `origin`, so [`cell_key`] is exact for it.
+/// Non-finite distances fail too.
+pub fn check_key_range<const D: usize>(
+    p: &[f64; D],
+    origin: &[f64; D],
+    side: f64,
+) -> Result<(), KeyOverflow> {
+    for axis in 0..D {
+        let cells = (p[axis] - origin[axis]).abs() / side;
+        if cells.is_nan() || cells >= MAX_QUANTIZED {
+            return Err(KeyOverflow { axis, cells });
+        }
+    }
+    Ok(())
+}
 
 /// Side length of a grid cell for radius `eps` in `D` dimensions: ε/√D, so
 /// that the cell diagonal is exactly ε and any two points in the same cell
@@ -17,7 +66,7 @@ pub fn cell_side<const D: usize>(eps: f64) -> f64 {
 }
 
 /// Computes the integer cell key of `p` for cells of side `side` anchored at
-/// `origin`.
+/// `origin`. The key is exact when `p` passes [`check_key_range`].
 pub fn cell_key<const D: usize>(p: &Point<D>, origin: &[f64; D], side: f64) -> [i64; D] {
     let mut key = [0i64; D];
     for i in 0..D {

@@ -11,9 +11,6 @@
 //!   pipeline's phase-1 state stores the per-cell ε-neighbour lists in.
 //! * [`subdivision`] — per-cell quadtrees (2^d-way subdivision trees) used to
 //!   answer exact and ρ-approximate RangeCount queries (§5.2).
-//! * [`shard`] — contiguous cell-key-range sharding of a grid partition
-//!   with boundary-cell enumeration, the substrate of the cell-graph-sharded
-//!   clustering in `dbscan-shard`.
 //! * [`overlay`] — a mutable base-plus-delta layer over a grid partition
 //!   (per-cell insert lists, tombstones, key-stable compaction) so the grid
 //!   is updatable without re-semisorting; the substrate of the streaming
@@ -27,15 +24,13 @@ pub mod kdtree;
 pub mod neighbors;
 pub mod overlay;
 pub mod partition;
-pub mod shard;
 pub mod subdivision;
 
-pub use gridkey::GridIndex;
+pub use gridkey::{GridIndex, KeyOverflow};
 pub use kdtree::CellKdTree;
 pub use neighbors::NeighborGraph;
 pub use overlay::{OverlayCell, OverlayPartition};
 pub use partition::{
     box_partition, grid_partition, grid_partition_anchored, CellInfo, CellPartition,
 };
-pub use shard::ShardAssignment;
 pub use subdivision::SubdivisionTree;

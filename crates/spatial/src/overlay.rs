@@ -28,7 +28,9 @@
 //! (core flags, component membership, border adjacency) by point id or by
 //! cell key, so a compaction invalidates nothing but cell ids.
 
-use crate::gridkey::{cell_bbox, cell_key, for_each_candidate_neighbor_key};
+use crate::gridkey::{
+    cell_bbox, cell_key, check_key_range, for_each_candidate_neighbor_key, KeyOverflow,
+};
 use crate::partition::{grid_partition_anchored, CellPartition};
 use geom::{BoundingBox, Point};
 use std::collections::HashMap;
@@ -170,6 +172,12 @@ impl<const D: usize> OverlayPartition<D> {
         self.points[id]
     }
 
+    /// Checks that `p` quantizes to an exact key of this grid — the
+    /// precondition of [`OverlayPartition::insert`].
+    pub fn check_key_range(&self, p: &Point<D>) -> Result<(), KeyOverflow> {
+        check_key_range(&p.coords, &self.origin, self.side)
+    }
+
     /// The grid key of the cell that contains (or would contain) `p`.
     pub fn key_of(&self, p: &Point<D>) -> [i64; D] {
         cell_key(p, &self.origin, self.side)
@@ -255,7 +263,8 @@ impl<const D: usize> OverlayPartition<D> {
         out
     }
 
-    /// Inserts a point, returning `(id, cell, cell_created)`.
+    /// Inserts a point, returning `(id, cell, cell_created)`. The point must
+    /// pass [`OverlayPartition::check_key_range`].
     pub fn insert(&mut self, p: Point<D>) -> (usize, usize, bool) {
         let id = self.points.len();
         self.points.push(p);
@@ -437,7 +446,7 @@ mod tests {
     }
 
     fn overlay_from(pts: &[Point<2>], eps: f64) -> OverlayPartition<2> {
-        OverlayPartition::from_partition(grid_partition(pts, eps)).unwrap()
+        OverlayPartition::from_partition(grid_partition(pts, eps).unwrap()).unwrap()
     }
 
     #[test]
@@ -495,7 +504,7 @@ mod tests {
     #[test]
     fn neighbor_cells_match_grid_index_on_a_fresh_overlay() {
         let pts = random_points(800, 25.0, 4);
-        let part = grid_partition(&pts, 1.5);
+        let part = grid_partition(&pts, 1.5).unwrap();
         let index = part.grid_index.as_ref().unwrap().clone();
         let ov = OverlayPartition::from_partition(part.clone()).unwrap();
         for (c, info) in part.cells.iter().enumerate() {

@@ -8,7 +8,7 @@
 //! minPts points is made of core points only, and all points of a cell end
 //! up in the same cluster.
 
-use crate::gridkey::{cell_bbox, cell_key, cell_side, GridIndex};
+use crate::gridkey::{cell_bbox, cell_key, cell_side, check_key_range, GridIndex, KeyOverflow};
 use geom::{BoundingBox, Point, Point2};
 use parprims::{semisort_by_key, strip_heads_to_assignment};
 use rayon::prelude::*;
@@ -159,31 +159,41 @@ impl<const D: usize> CellPartition<D> {
     }
 }
 
+/// Points per chunk of the bounding-box scan in [`grid_partition`].
+const BOUNDS_CHUNK: usize = 4096;
+
 /// Builds the grid partition of §4.1: cells are the non-empty boxes of the
 /// regular grid with side ε/√d anchored at the dataset's lower corner.
 /// Grouping is done with the semisort primitive (O(n) expected work) and the
 /// non-empty cells are indexed with the concurrent hash table.
-pub fn grid_partition<const D: usize>(points: &[Point<D>], eps: f64) -> CellPartition<D> {
+///
+/// Fails with [`KeyOverflow`] when ε is so small against the extent of the
+/// points that a cell key would not be exact (see
+/// [`crate::gridkey::MAX_QUANTIZED`]).
+pub fn grid_partition<const D: usize>(
+    points: &[Point<D>],
+    eps: f64,
+) -> Result<CellPartition<D>, KeyOverflow> {
     assert!(eps > 0.0, "eps must be positive");
-    if points.is_empty() {
-        return grid_partition_anchored(points, eps, [0.0; D]);
-    }
-    // Lower corner of the dataset (computed in parallel).
-    let origin = points.par_iter().map(|p| p.coords).reduce(
-        || [f64::INFINITY; D],
-        |mut acc, c| {
-            for i in 0..D {
-                acc[i] = acc[i].min(c[i]);
-            }
-            acc
-        },
-    );
-    grid_partition_anchored(points, eps, origin)
+    // Bounding box of the dataset (computed in parallel, one scan per
+    // chunk). Keys count cells up from its lower corner, so its upper
+    // corner holds the largest key.
+    let Some(bounds) = points
+        .par_chunks(BOUNDS_CHUNK)
+        .filter_map(BoundingBox::containing)
+        .reduce_with(|a, b| a.union(&b))
+    else {
+        return Ok(grid_partition_anchored(points, eps, [0.0; D]));
+    };
+    check_key_range(&bounds.hi, &bounds.lo, cell_side::<D>(eps))?;
+    Ok(grid_partition_anchored(points, eps, bounds.lo))
 }
 
 /// [`grid_partition`] with an explicit grid origin instead of the dataset's
 /// lower corner. Points below the origin get negative cell keys, which the
-/// quantization handles fine.
+/// quantization handles fine. Every point must pass
+/// [`check_key_range`] against `origin`; the overlay checks each point
+/// on insert.
 ///
 /// The updatable overlay ([`crate::OverlayPartition`]) compacts by rebuilding
 /// its base partition with the *original* anchor so that cell keys stay
@@ -371,7 +381,7 @@ mod tests {
     #[test]
     fn grid_partition_covers_all_points_and_validates() {
         let pts = random_points_2d(2000, 50.0, 1);
-        let part = grid_partition(&pts, 1.5);
+        let part = grid_partition(&pts, 1.5).unwrap();
         assert_eq!(part.num_points(), 2000);
         part.validate().unwrap();
         assert!(part.num_cells() > 1);
@@ -389,14 +399,14 @@ mod tests {
                 ])
             })
             .collect();
-        let part = grid_partition(&pts, 2.0);
+        let part = grid_partition(&pts, 2.0).unwrap();
         part.validate().unwrap();
     }
 
     #[test]
     fn grid_cells_group_points_with_equal_keys() {
         let pts = random_points_2d(500, 10.0, 7);
-        let part = grid_partition(&pts, 1.0);
+        let part = grid_partition(&pts, 1.0).unwrap();
         let index = part.grid_index.as_ref().unwrap();
         for (c, info) in part.cells.iter().enumerate() {
             let key = info.key.unwrap();
@@ -410,14 +420,14 @@ mod tests {
     #[test]
     fn grid_partition_single_cell_when_eps_is_huge() {
         let pts = random_points_2d(100, 1.0, 9);
-        let part = grid_partition(&pts, 1000.0);
+        let part = grid_partition(&pts, 1000.0).unwrap();
         assert_eq!(part.num_cells(), 1);
         assert_eq!(part.cells[0].len, 100);
     }
 
     #[test]
     fn grid_partition_empty_input() {
-        let part = grid_partition::<2>(&[], 1.0);
+        let part = grid_partition::<2>(&[], 1.0).unwrap();
         assert_eq!(part.num_cells(), 0);
         assert_eq!(part.num_points(), 0);
         part.validate().unwrap();
@@ -426,7 +436,7 @@ mod tests {
     #[test]
     fn point_to_cell_is_consistent() {
         let pts = random_points_2d(800, 30.0, 11);
-        let part = grid_partition(&pts, 2.0);
+        let part = grid_partition(&pts, 2.0).unwrap();
         let p2c = part.point_to_cell();
         for (c, _) in part.cells.iter().enumerate() {
             for &pid in part.cell_point_ids(c) {
@@ -485,7 +495,7 @@ mod tests {
     #[test]
     fn identical_points_all_land_in_one_cell() {
         let pts = vec![Point2::new([2.0, 2.0]); 50];
-        let g = grid_partition(&pts, 0.5);
+        let g = grid_partition(&pts, 0.5).unwrap();
         assert_eq!(g.num_cells(), 1);
         g.validate().unwrap();
         let b = box_partition(&pts, 0.5);

@@ -2,7 +2,7 @@
 
 use baselines::brute_force_dbscan;
 use geom::{Point, Point2};
-use pardbscan::{CellGraphMethod, CellMethod, Clustering, Dbscan};
+use pardbscan::{CellGraphMethod, CellMethod, Clustering, Dbscan, DbscanError};
 
 fn to_clustering(b: &baselines::BaselineClustering) -> Clustering {
     Clustering::from_raw(b.core.clone(), b.clusters.clone())
@@ -139,6 +139,40 @@ fn extreme_coordinates_are_handled() {
         assert_eq!(c, want);
         assert_eq!(c.num_clusters(), 2);
     }
+}
+
+#[test]
+fn extents_just_inside_the_grid_key_bound_match_the_oracle() {
+    // Two tight clusters 2^52 apart on x, and a noise point between them.
+    // At ε = 1.5 (cells of side 1.5/√2) the far cluster lies about
+    // 0.94 · 2^52 cells from the grid origin, just inside the bound below
+    // which cell keys are exact.
+    let far = 4_503_599_627_370_496.0; // 2^52
+    let pts: Vec<Point2> = [
+        [0.0, 0.0],
+        [1.0, 0.0],
+        [0.0, 1.0],
+        [1.0, 1.0],
+        [far / 2.0, 0.0],
+        [far, 0.0],
+        [far + 1.0, 0.0],
+        [far, 1.0],
+        [far + 1.0, 1.0],
+    ]
+    .into_iter()
+    .map(Point2::new)
+    .collect();
+    let want = to_clustering(&brute_force_dbscan(&pts, 1.5, 3));
+    assert_eq!(want.num_clusters(), 2);
+    for c in all_2d_variants(&pts, 1.5, 3) {
+        assert_eq!(c, want);
+    }
+    // At ε = 1.4 the far cluster lies about 1.01 · 2^52 cells out: the grid
+    // rejects the input with a typed error instead of saturating keys.
+    assert!(matches!(
+        Dbscan::exact(&pts, 1.4, 3).run(),
+        Err(DbscanError::InvalidParams(_))
+    ));
 }
 
 #[test]

@@ -194,3 +194,57 @@ fn facade_error_paths_are_typed() {
     let session = ClusterSession::ingest(empty).unwrap();
     assert!(session.cluster(Params::new(1.0, 3)).unwrap().is_empty());
 }
+
+#[test]
+fn grid_key_overflow_is_a_typed_error_on_every_path() {
+    // `((x − origin) / side).floor() as i64` saturates past 2^63 cells, so
+    // far-apart points used to share a cell and form a cluster the oracle
+    // does not have. Coordinates 2^52 or more cells out are now rejected.
+    fn too_small<T>(result: Result<T, Error>) -> bool {
+        matches!(result, Err(Error::InvalidParams(_)))
+    }
+    let spread = [[0.0, 0.0], [1e5, 1e5], [1e5 + 1.0, 1e5], [1e5, 1e5 + 1.0]];
+    let spread = PointCloud::from_rows(&spread).unwrap();
+    let tiny = Params::new(1e-14, 2);
+    assert!(too_small(cluster(&spread, tiny)));
+    let session = ClusterSession::ingest(spread).unwrap();
+    assert!(too_small(session.cluster(tiny)));
+    assert!(too_small(session.sweep(([1e-14], [2]))));
+
+    // Inserting two far points into an ε = 1 session, one at a time or as
+    // one batch, applies nothing; ingesting them leaves the session in
+    // indexed mode.
+    let unit = Params::new(1.0, 2);
+    let near = PointCloud::from_rows(&[[0.0, 0.0], [0.5, 0.0]]).unwrap();
+    let far = PointCloud::from_rows(&[[1e300, 1e300], [2e300, 2e300]]).unwrap();
+    let mut session = ClusterSession::ingest(near.clone()).unwrap();
+    let mut updates = session.updates(unit).unwrap();
+    assert!(too_small(updates.insert(far.point(0))));
+    assert!(too_small(updates.apply(&far, &[])));
+    assert_eq!(updates.num_live(), 2);
+    drop(updates);
+    let mut session = ClusterSession::ingest(far.clone()).unwrap();
+    assert!(too_small(session.updates(unit)));
+    assert!(too_small(session.cluster(unit)));
+
+    // The concurrent writer rejects the batch before the WAL append and
+    // publishes nothing.
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("grid_key_overflow");
+    let _ = std::fs::remove_dir_all(&dir);
+    let options = dbscan::DurableOptions::default();
+    let durable = dbscan::ConcurrentSession::ingest_durable(near.clone(), &dir, options, unit);
+    for shared in [dbscan::ConcurrentSession::ingest(near, unit), durable] {
+        let shared = shared.unwrap();
+        assert!(too_small(shared.update(&far, &[])));
+        assert_eq!(
+            (shared.current().id(), shared.current().num_points()),
+            (0, 2)
+        );
+    }
+    assert_eq!(
+        ClusterSession::open_durable(&dir, options)
+            .unwrap()
+            .num_points(),
+        2
+    );
+}
