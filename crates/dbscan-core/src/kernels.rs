@@ -33,8 +33,8 @@
 //! in coordinate order with plain adds — deliberately **not** fused
 //! multiply-adds, whose single rounding could flip a `d² == ε²` tie relative
 //! to the scalar kernel. A point at exactly ε of the query is counted by
-//! every backend, and `BENCH_kernels.json` / the `simd_matches_scalar`
-//! property test hold the backends to bit-identical decisions.
+//! every backend, and the `simd_matches_scalar` property test holds the
+//! backends to bit-identical decisions.
 
 use geom::Point;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -62,7 +62,8 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Stable machine-readable name, used in `BENCH_kernels.json`.
+    /// Stable machine-readable name, reported by the `dbscan_backend_info`
+    /// metric and `dbscan-serve`'s `/healthz`.
     pub fn label(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
@@ -237,8 +238,8 @@ pub mod scalar {
     //! The portable blocked kernels — branch-free accumulation inside a
     //! 64-wide block, early-exit checks only at block boundaries. Kept
     //! verbatim as the fallback of every dispatch path (and as the baseline
-    //! the `kernels` bench and the SIMD-equivalence property test compare
-    //! against), and forcible at runtime with `DBSCAN_FORCE_SCALAR=1`.
+    //! the SIMD-equivalence property test compares against), and forcible
+    //! at runtime with `DBSCAN_FORCE_SCALAR=1`.
 
     use super::BLOCK;
     use geom::Point;

@@ -105,7 +105,7 @@ impl Server {
     }
 
     /// Runs the server on a background thread — the embedding used by the
-    /// integration tests and the `serve_throughput` bench.
+    /// integration tests and the repo benchmark's `serve-2d` workload.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let state = self.state();

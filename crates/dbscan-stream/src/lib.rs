@@ -35,9 +35,8 @@
 //!
 //! [`UpdateStats`] reports cells touched, points re-flagged, components
 //! re-clustered, and connectivity queries issued, so the incrementality is
-//! observable rather than asserted. The `stream_updates` bench binary
-//! measures incremental `apply` against a full re-cluster across update
-//! batch sizes.
+//! observable rather than asserted. The repo benchmark's `session-5d`
+//! workload times `apply` on 0.1% sliding-window batches.
 //!
 //! **Exactness.** After any applied update sequence, the labels are
 //! equivalent (up to cluster renaming — removed by the canonical

@@ -1,11 +1,11 @@
-//! A minimal JSON reader shared by the bench gates and the service.
+//! A minimal JSON reader shared by the service and the repo benchmark.
 //!
-//! The workspace *emits* JSON by string formatting (no serde in the
-//! container); this crate is the matching *reader* used by the
-//! `check_schema` CI gate, the `trend_append` helper, and the
-//! `dbscan-serve` request parser. It supports the full JSON value grammar
-//! those emitters and clients produce: objects, arrays, strings with
-//! escapes, `f64` numbers, booleans and `null`.
+//! The workspace *emits* JSON by string formatting (it has no serde
+//! dependency); this crate is the matching *reader*: the `dbscan-serve`
+//! request parser, and the benchmark and integration tests that read
+//! emitted documents back. It supports the full JSON value grammar those
+//! emitters and clients produce: objects, arrays, strings with escapes,
+//! `f64` numbers, booleans and `null`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -19,14 +19,14 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (read as `f64`, which covers every value the bench
-    /// emitters write).
+    /// Any JSON number (read as `f64`, which covers every value the
+    /// workspace's emitters write).
     Number(f64),
     /// A string (escapes decoded).
     String(String),
     /// An array.
     Array(Vec<Value>),
-    /// An object. Key order is not preserved (schema checks don't need it).
+    /// An object. Key order is not preserved (no reader needs it).
     Object(BTreeMap<String, Value>),
 }
 
@@ -68,18 +68,6 @@ impl Value {
         match self {
             Value::Array(items) => Some(items),
             _ => None,
-        }
-    }
-
-    /// Short type name used in validation error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
         }
     }
 }
@@ -193,16 +181,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(&b) if b < 0x80 => {
-                out.push(b as char);
-                *pos += 1;
-            }
             Some(_) => {
-                // Multi-byte UTF-8: copy the whole scalar value.
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next `"` or `\` in one go. Both stop
+                // bytes are ASCII, so the run ends on a char boundary, and
+                // validating only the run keeps parsing linear in the input.
+                let run = &bytes[*pos..];
+                let len = run
+                    .iter()
+                    .position(|&b| matches!(b, b'"' | b'\\'))
+                    .unwrap_or(run.len());
+                out.push_str(std::str::from_utf8(&run[..len]).map_err(|e| e.to_string())?);
+                *pos += len;
             }
         }
     }
@@ -276,6 +265,8 @@ mod tests {
         assert_eq!(b[1], Value::Null);
         assert_eq!(b[2].as_str(), Some("x\ny"));
         assert_eq!(doc.get("c").unwrap().get("d").unwrap().as_f64(), Some(-2e3));
+        let mixed = parse(r#""é€😀\"x\\y\u00e9z""#).unwrap();
+        assert_eq!(mixed.as_str(), Some("é€😀\"x\\yéz"));
     }
 
     #[test]
@@ -310,16 +301,37 @@ mod tests {
     }
 
     #[test]
+    fn multi_byte_strings_parse_in_linear_time() {
+        // A request body is untrusted: 256 KiB of two-byte characters must
+        // cost no more than a copy. Validating the rest of the document once
+        // per character made this take tens of seconds.
+        let note = "é".repeat(128 * 1024);
+        let doc = format!("{{\"insert\": [], \"note\": \"{note}\"}}");
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed.get("note").unwrap().as_str(), Some(note.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "parsing a 256 KiB string took {elapsed:?}"
+        );
+    }
+
+    #[test]
     fn round_trips_the_emitters_own_output() {
-        // The exact shape `hotpath --smoke` writes.
+        // The shape `obs::export::chrome_trace` writes.
         let doc = parse(
-            "{\n  \"figure\": \"hotpath\",\n  \"smoke\": true,\n  \"machine_cores\": 1,\n  \
-             \"series\": [\n    {\"dataset\": \"2D-SS-simden\", \"n\": 2000, \"eps\": 1000, \
-             \"min_pts\": 10, \"partition_s\": 0.001, \"mark_core_s\": 0.002, \
-             \"cell_graph_s\": 0.003, \"dbscan_s\": 0.004}\n  ]\n}\n",
+            "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n  {\"name\": \"thread_name\", \
+             \"ph\": \"M\", \"pid\": 1, \"tid\": 1, \"args\": {\"name\": \"obs thread 1\"}},\n  \
+             {\"name\": \"query\", \"cat\": \"engine\", \"ph\": \"X\", \"ts\": 100, \"dur\": 25, \
+             \"pid\": 1, \"tid\": 1, \"args\": {\"seq\": 0, \"n\": 1000, \"min_pts\": 10, \
+             \"eps\": 0.5}}\n]}\n",
         )
         .unwrap();
-        assert_eq!(doc.get("figure").unwrap().as_str(), Some("hotpath"));
-        assert_eq!(doc.get("series").unwrap().as_array().unwrap().len(), 1);
+        assert_eq!(doc.get("displayTimeUnit").unwrap().as_str(), Some("ms"));
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        assert_eq!(events.len(), 2);
+        let eps = events[1].get("args").unwrap().get("eps").unwrap();
+        assert_eq!(eps.as_f64(), Some(0.5));
     }
 }

@@ -174,12 +174,16 @@ pub fn write_trace_out() -> Option<std::io::Result<std::path::PathBuf>> {
 }
 
 /// Arm the best-effort exit writer on the calling thread: when the thread
-/// exits, the ring is flushed to `DBSCAN_TRACE_OUT` (if set). Idempotent.
+/// exits, the ring is flushed to `DBSCAN_TRACE_OUT` (if set). An empty ring
+/// writes nothing, so an explicit [`write_trace_out`] at shutdown is not
+/// overwritten by an empty trace. Idempotent.
 pub(crate) fn arm_exit_writer() {
     struct ExitWriter;
     impl Drop for ExitWriter {
         fn drop(&mut self) {
-            let _ = write_trace_out();
+            if crate::trace_len() > 0 {
+                let _ = write_trace_out();
+            }
         }
     }
     thread_local! {
@@ -220,6 +224,23 @@ mod tests {
         assert!(text.contains("\"tid\": 1"));
         assert!(text.contains("\"tid\": 2"));
         assert!(text.contains("\"eps\": 0.5"));
+    }
+
+    #[test]
+    fn exit_hook_leaves_an_explicit_flush_alone_when_the_ring_is_empty() {
+        let path = std::env::temp_dir().join(format!("obs-exit-hook-{}.json", std::process::id()));
+        let after = {
+            let _guard = crate::trace::TEST_LOCK.lock().unwrap();
+            let _ = crate::take_trace();
+            std::fs::write(&path, "explicit flush").unwrap();
+            std::env::set_var("DBSCAN_TRACE_OUT", &path);
+            // The thread records nothing, so its exit hook finds an empty ring.
+            std::thread::spawn(arm_exit_writer).join().unwrap();
+            std::env::remove_var("DBSCAN_TRACE_OUT");
+            std::fs::read_to_string(&path)
+        };
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(after.unwrap(), "explicit flush");
     }
 
     #[test]

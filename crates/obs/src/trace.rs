@@ -213,12 +213,13 @@ impl Drop for Span {
     }
 }
 
+/// The ring is process-wide; serializes the unit tests that drain it.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The ring is process-wide; serialize the tests that drain it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn rec(n: usize) -> SpanRecord {
         SpanRecord {

@@ -9,8 +9,8 @@
 //! `DBSCAN_OBS` mode is read once per process, so the variable must be set
 //! before the first instrumented call. Keep this file single-test.
 
-use bench::jsonv::{parse, Value};
 use dbscan::{ClusterSession, Params, PointCloud};
+use jsonv::{parse, Value};
 use std::collections::BTreeSet;
 
 fn validate_trace(doc: &Value) -> (usize, BTreeSet<u64>) {
