@@ -11,8 +11,8 @@
 use crate::kdtree_points::PointKdTree;
 use crate::BaselineClustering;
 use geom::Point;
-use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::sync::Mutex;
 use unionfind::SequentialUnionFind;
 
 /// Runs the PDSDBSCAN-style baseline.
@@ -43,13 +43,13 @@ pub fn disjoint_set_dbscan<const D: usize>(
             .copied()
             .filter(|&j| core[j])
             .collect();
-        let mut guard = uf.lock();
+        let mut guard = uf.lock().unwrap_or_else(|e| e.into_inner());
         for j in to_merge {
             guard.union(i, j);
         }
     });
 
-    let mut uf = uf.into_inner();
+    let mut uf = uf.into_inner().unwrap_or_else(|e| e.into_inner());
     let raw: Vec<Vec<usize>> = (0..n)
         .map(|i| {
             if core[i] {

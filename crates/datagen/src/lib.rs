@@ -15,15 +15,13 @@
 //!   the extreme spatial skew of GeoLife (which makes BCP-based cell-graph
 //!   queries expensive and the bucketing optimization valuable) and the
 //!   all-points-in-one-cell degeneracy of TeraClickLog at the published
-//!   parameters,
-//! * [`io`] — tiny CSV read/write helpers used by the examples.
+//!   parameters.
 //!
 //! The substitutions are documented in DESIGN.md §4.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod io;
 pub mod seed_spreader;
 pub mod standins;
 pub mod uniform;

@@ -27,10 +27,6 @@ pub fn cluster_border<const D: usize>(
     core_clusters: &[Option<usize>],
 ) -> ClusterSets {
     let n = index.partition.num_points();
-    let _span = obs::Span::enter("core", obs::phase::CLUSTER_BORDER)
-        .eps(index.eps)
-        .min_pts(core.min_pts)
-        .n(n);
     let eps_sq = index.eps * index.eps;
 
     // Raw cluster id of each *cell* (all core points of a cell share one).

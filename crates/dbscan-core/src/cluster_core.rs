@@ -60,10 +60,6 @@ pub fn cluster_core<const D: usize>(
     core: &CoreSet<D>,
     options: &ClusterCoreOptions,
 ) -> Vec<Option<usize>> {
-    let _span = obs::Span::enter("core", obs::phase::CLUSTER_CORE)
-        .eps(index.eps)
-        .min_pts(core.min_pts)
-        .n(core.num_core_points());
     let num_cells = index.num_cells();
     let uf = ConcurrentUnionFind::new(num_cells);
 

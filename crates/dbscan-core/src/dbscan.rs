@@ -1,5 +1,7 @@
 //! The public entry point: a builder that selects one of the paper's
 //! algorithm variants and runs the four-phase pipeline of Algorithm 1.
+//! The phase helpers time each phase once, under the `core` span of its
+//! name, and return the duration in the phase's record.
 
 use crate::cluster_border::cluster_border;
 use crate::cluster_core::{cluster_core, ClusterCoreOptions};
@@ -7,9 +9,65 @@ use crate::mark_core::mark_core;
 use crate::params::{
     CellGraphMethod, CellMethod, DbscanError, DbscanParams, MarkCoreMethod, VariantConfig,
 };
-use crate::pipeline::SpatialIndex;
+use crate::pipeline::{CoreSet, SpatialIndex};
 use crate::result::Clustering;
 use geom::Point;
+use obs::PhaseExecution;
+
+/// Phase 1 (Algorithm 1 line 2): [`SpatialIndex::build`], timed.
+pub fn partition_phase<const D: usize>(
+    points: &[Point<D>],
+    eps: f64,
+    cell_method: CellMethod,
+) -> Result<(SpatialIndex<D>, PhaseExecution), DbscanError> {
+    let span = obs::Span::enter("core", obs::phase::PARTITION)
+        .eps(eps)
+        .n(points.len());
+    let index = SpatialIndex::build(points, eps, cell_method)?;
+    Ok((index, PhaseExecution::finished(span)))
+}
+
+/// Phase 2 (line 3): [`mark_core`], timed.
+pub fn mark_core_phase<const D: usize>(
+    index: &SpatialIndex<D>,
+    min_pts: usize,
+    method: MarkCoreMethod,
+) -> (CoreSet<D>, PhaseExecution) {
+    let span = obs::Span::enter("core", obs::phase::MARK_CORE)
+        .eps(index.eps)
+        .min_pts(min_pts)
+        .n(index.num_points());
+    let core = mark_core(index, min_pts, method);
+    (core, PhaseExecution::finished(span))
+}
+
+/// Phases 3 and 4 (lines 4–5) and the canonical renumbering, each timed
+/// (`cluster_core`, `cluster_border`, `canonicalize`); appends the three
+/// phase records to `phases`.
+pub fn cluster_phases<const D: usize>(
+    index: &SpatialIndex<D>,
+    core: &CoreSet<D>,
+    options: &ClusterCoreOptions,
+    phases: &mut Vec<PhaseExecution>,
+) -> Clustering {
+    let span = |phase, n| {
+        obs::Span::enter("core", phase)
+            .eps(index.eps)
+            .min_pts(core.min_pts)
+            .n(n)
+    };
+    let n = index.num_points();
+    let timed = span(obs::phase::CLUSTER_CORE, core.num_core_points());
+    let core_clusters = cluster_core(index, core, options);
+    phases.push(PhaseExecution::finished(timed));
+    let timed = span(obs::phase::CLUSTER_BORDER, n);
+    let cluster_sets = cluster_border(index, core, &core_clusters);
+    phases.push(PhaseExecution::finished(timed));
+    let timed = span(obs::phase::CANONICALIZE, n);
+    let clustering = Clustering::from_sets(core.core_flags.clone(), cluster_sets);
+    phases.push(PhaseExecution::finished(timed));
+    clustering
+}
 
 /// A configured DBSCAN run over a borrowed point set.
 ///
@@ -114,17 +172,10 @@ impl<'a, const D: usize> Dbscan<'a, D> {
         self.params.validate()?;
         self.variant_config().validate_for_dimension(D)?;
 
-        // Phase 1: cells (Algorithm 1 line 2).
-        let index = SpatialIndex::build(self.points, self.params.eps, self.cell_method)?;
-        // Phase 2: mark core points (line 3).
-        let core = mark_core(&index, self.params.min_pts, self.mark_core);
-        // Phase 3: cluster core points via the cell graph (line 4).
+        let (index, _) = partition_phase(self.points, self.params.eps, self.cell_method)?;
+        let (core, _) = mark_core_phase(&index, self.params.min_pts, self.mark_core);
         let options = ClusterCoreOptions::from_variant(&self.variant_config());
-        let core_clusters = cluster_core(&index, &core, &options);
-        // Phase 4: assign border points (line 5).
-        let cluster_sets = cluster_border(&index, &core, &core_clusters);
-
-        Ok(Clustering::from_sets(core.core_flags, cluster_sets))
+        Ok(cluster_phases(&index, &core, &options, &mut Vec::new()))
     }
 }
 

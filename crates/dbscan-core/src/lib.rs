@@ -77,7 +77,7 @@ mod result;
 pub use cluster_border::cluster_border;
 pub use cluster_core::{cluster_core, ClusterCoreOptions};
 pub use connectivity::{bcp_scratch_stats, bichromatic_closest_pair, reset_bcp_scratch_stats};
-pub use dbscan::{dbscan, dbscan_approx, Dbscan};
+pub use dbscan::{cluster_phases, dbscan, dbscan_approx, mark_core_phase, partition_phase, Dbscan};
 pub use erased::{erased_pipeline, ErasedPipeline, ERASED_DIM_MAX, ERASED_DIM_MIN};
 pub use kernels::{active_backend, Backend};
 pub use mark_core::mark_core;

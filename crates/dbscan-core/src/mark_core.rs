@@ -32,10 +32,6 @@ pub fn mark_core<const D: usize>(
     if n == 0 {
         return CoreSet::empty(min_pts);
     }
-    let _span = obs::Span::enter("core", obs::phase::MARK_CORE)
-        .eps(index.eps)
-        .min_pts(min_pts)
-        .n(n);
     let eps = index.eps;
     let partition = &index.partition;
     let neighbors = &index.neighbors;

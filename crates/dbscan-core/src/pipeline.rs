@@ -68,9 +68,6 @@ impl<const D: usize> SpatialIndex<D> {
                 "eps must be positive and finite, got {eps}"
             )));
         }
-        let _span = obs::Span::enter("core", obs::phase::PARTITION)
-            .eps(eps)
-            .n(points.len());
         let partition = match cell_method {
             CellMethod::Grid => grid_partition(points, eps)?,
             CellMethod::Box => {
@@ -288,10 +285,6 @@ where
     P: Fn(usize) -> Vec<(usize, Point<D>)> + Sync,
     N: Fn(usize) -> Vec<usize> + Sync,
 {
-    let _span = obs::Span::enter("core", obs::phase::MARK_CORE_REGION)
-        .eps(eps)
-        .min_pts(min_pts)
-        .n(dirty.len());
     // Fetch the dirty cells' own points first: a cell with ≥ minPts points
     // is all-core by the cell property alone, so only the *small* dirty
     // cells need their neighbourhoods materialized at all.
@@ -399,9 +392,6 @@ where
     C: Fn(usize) -> Vec<(usize, Point<D>)> + Sync,
     B: Fn(usize) -> geom::BoundingBox<D> + Sync,
 {
-    let _span = obs::Span::enter("core", obs::phase::CONNECT_REGION)
-        .eps(eps)
-        .n(pairs.len());
     /// Per-cell data materialized once for the pair evaluations: the core
     /// point ids, their coordinates, and the cell box.
     type CellData<'a, const D: usize> = (Vec<usize>, Vec<Point<D>>, &'a geom::BoundingBox<D>);

@@ -429,9 +429,10 @@ impl<const D: usize> DurableClusterer<D> {
 
     /// Applies an update batch durably. `batch.deletes` are **external**
     /// ids. Returns stats whose `inserted_ids` are the new points'
-    /// external ids and whose `wal_*` fields carry the logging cost; the
-    /// batch is on durable media when this returns under the per-batch
-    /// fsync policy.
+    /// external ids, whose `wal_bytes` is the logged record's size, and
+    /// whose `phases` start with the WAL's own (`wal_append`, then
+    /// `wal_fsync` when the batch was fsynced); the batch is on durable
+    /// media when this returns under the per-batch fsync policy.
     pub fn apply(&mut self, batch: UpdateBatch<D>) -> Result<UpdateStats, DurableError> {
         // Validate before the WAL append: a logged record must never fail
         // replay. (The inserts go through the inner clusterer's own check;
@@ -471,8 +472,7 @@ impl<const D: usize> DurableClusterer<D> {
             *id = (first_ext + i as u64) as usize;
         }
         stats.wal_bytes = receipt.bytes;
-        stats.wal_append_time = receipt.append_time;
-        stats.wal_fsync_time = receipt.fsync_time;
+        stats.phases.splice(0..0, receipt.phases);
 
         self.batches_since_checkpoint += 1;
         if self.options.checkpoint_every > 0

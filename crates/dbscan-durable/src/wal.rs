@@ -30,7 +30,6 @@ use geom::Point;
 use pardbscan::DbscanParams;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Magic bytes opening every WAL header.
 pub const WAL_MAGIC: &[u8; 5] = b"DBWAL";
@@ -77,15 +76,15 @@ pub struct WalRecord<const D: usize> {
     pub deletes: Vec<u64>,
 }
 
-/// Wall-clock costs of one append, surfaced into `UpdateStats`.
-#[derive(Debug, Clone, Copy, Default)]
+/// What one append cost, surfaced into `UpdateStats`.
+#[derive(Debug, Clone, Default)]
 pub struct AppendReceipt {
     /// Bytes appended (frame included).
     pub bytes: u64,
-    /// Encode + write time.
-    pub append_time: Duration,
-    /// Fsync time (zero when the group-commit policy deferred it).
-    pub fsync_time: Duration,
+    /// The `wal_append` phase (encode + write), then the `wal_fsync` phase
+    /// when the policy fsynced before returning — each with its span's
+    /// duration.
+    pub phases: Vec<obs::PhaseExecution>,
     /// Whether this append was fsync'd before returning.
     pub synced: bool,
 }
@@ -381,14 +380,15 @@ impl Wal {
         rec: &WalRecord<D>,
     ) -> Result<AppendReceipt, DurableError> {
         assert_eq!(rec.lsn, self.last_lsn + 1, "WAL lsns are sequential");
-        let start = Instant::now();
+        let span = obs::Span::enter("durable", obs::phase::WAL_APPEND)
+            .n(rec.inserts.len() + rec.deletes.len());
         let frame = encode_record(rec);
         if self.file.is_none() {
             self.file = Some(self.storage.open_append(&wal_path(&self.dir))?);
         }
         let file = self.file.as_mut().expect("just opened");
         file.write_all(&frame)?;
-        let append_time = start.elapsed();
+        let appended = obs::PhaseExecution::finished(span);
         WAL_APPENDS.incr();
         WAL_APPENDED_BYTES.add(frame.len() as u64);
         self.last_lsn = rec.lsn;
@@ -400,30 +400,30 @@ impl Wal {
         };
         let mut receipt = AppendReceipt {
             bytes: frame.len() as u64,
-            append_time,
-            fsync_time: Duration::ZERO,
+            phases: vec![appended],
             synced: false,
         };
         if must_sync {
-            receipt.fsync_time = self.sync()?;
+            receipt.phases.extend(self.sync()?);
             receipt.synced = true;
         }
         Ok(receipt)
     }
 
     /// Fsyncs pending appends now (a group-commit flush point). Returns the
-    /// fsync's duration.
-    pub fn sync(&mut self) -> Result<Duration, DurableError> {
+    /// `wal_fsync` phase record, or `None` when no append handle is open
+    /// (nothing to fsync, so no span is recorded either).
+    pub fn sync(&mut self) -> Result<Option<obs::PhaseExecution>, DurableError> {
         let Some(file) = self.file.as_mut() else {
-            return Ok(Duration::ZERO);
+            return Ok(None);
         };
-        let start = Instant::now();
+        let span = obs::Span::enter("durable", obs::phase::WAL_FSYNC).n(self.unsynced);
         file.sync()?;
-        let elapsed = start.elapsed();
+        let synced = obs::PhaseExecution::finished(span);
         WAL_FSYNCS.incr();
-        WAL_FSYNC_SECONDS.observe(elapsed);
+        WAL_FSYNC_SECONDS.observe(synced.duration);
         self.unsynced = 0;
-        Ok(elapsed)
+        Ok(Some(synced))
     }
 }
 

@@ -3,15 +3,15 @@
 use crate::cache::LruCache;
 use crate::stats::{CacheCounters, CacheStats, QueryStats};
 use geom::Point;
+use obs::PhaseExecution;
 use pardbscan::pipeline::{CoreSet, SpatialIndex};
 use pardbscan::{
-    cluster_border, cluster_core, mark_core, CellMethod, ClusterCoreOptions, Clustering,
+    cluster_phases, mark_core_phase, partition_phase, CellMethod, ClusterCoreOptions, Clustering,
     DbscanError, DbscanParams, MarkCoreMethod, SweepGrid, VariantConfig,
 };
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 /// Configuration for building [`Snapshot`]s: how much reusable phase state
 /// each snapshot may cache.
@@ -119,6 +119,10 @@ impl Engine {
     }
 }
 
+/// A fetched spatial index: the index, its generation, and the record of
+/// its partition phase (a build's run, or a cache hit's skip).
+type IndexFetch<const D: usize> = (Arc<SpatialIndex<D>>, u64, PhaseExecution);
+
 /// Cache key of a spatial index: ε (exact bits) and the cell method.
 #[derive(PartialEq)]
 struct IndexKey {
@@ -161,7 +165,7 @@ pub struct QueryResult {
     /// run (ρ-approximate clusterings are legitimately non-unique; see the
     /// crate docs).
     pub clustering: Clustering,
-    /// Phase timings and cache-reuse flags of this query.
+    /// Phase records and cache-reuse flags of this query.
     pub stats: QueryStats,
 }
 
@@ -178,8 +182,10 @@ pub struct SweepCell {
     pub min_pts: usize,
     /// The clustering for `(eps, min_pts)`.
     pub clustering: Clustering,
-    /// Stats of this grid cell's query. The spatial-index build time of each
-    /// ε is attributed to that ε's first grid cell.
+    /// Stats of this grid cell's query. The spatial-index build of each ε
+    /// is reported as a run of the partition phase by that ε's first grid
+    /// cell, whose `total_time` includes it; the other cells report the
+    /// phase skipped.
     pub stats: QueryStats,
 }
 
@@ -248,34 +254,9 @@ impl<const D: usize> Snapshot<D> {
     ) -> Result<QueryResult, DbscanError> {
         params.validate()?;
         variant.validate_for_dimension(D)?;
-        let _span = obs::Span::enter("engine", obs::phase::QUERY)
-            .eps(params.eps)
-            .min_pts(params.min_pts)
-            .n(self.num_points());
-        let start = Instant::now();
-        let (index, generation, partition_hit, partition_time) =
-            self.index_for(params.eps, variant.cell_method)?;
-        let (core, core_hit, mark_core_time) =
-            self.core_for(&index, generation, params.min_pts, variant.mark_core);
-        let (clustering, cluster_core_time, cluster_border_time) =
-            run_cluster_phases(&index, &core, &variant);
-        QUERY_SECONDS.observe(start.elapsed());
-        let stats = QueryStats {
-            eps: params.eps,
-            min_pts: params.min_pts,
-            variant: variant.paper_name(),
-            partition_cache_hit: partition_hit,
-            core_cache_hit: core_hit,
-            partition_time,
-            mark_core_time,
-            cluster_core_time,
-            cluster_border_time,
-            total_time: start.elapsed(),
-            num_cells: index.num_cells(),
-            num_core_points: core.num_core_points(),
-            index_generation: generation,
-        };
-        Ok(QueryResult { clustering, stats })
+        let result = self.query_index(params, &variant, None)?;
+        QUERY_SECONDS.observe(result.stats.total_time);
+        Ok(result)
     }
 
     /// Runs a [`SweepGrid`] — the full `ε-grid × minPts-grid`
@@ -350,65 +331,38 @@ impl<const D: usize> Snapshot<D> {
         let columns: Vec<Result<Vec<SweepCell>, DbscanError>> = eps_grid
             .par_iter()
             .map(|&eps| {
-                let (index, generation, partition_hit, partition_time) =
-                    self.index_for(eps, variant.cell_method)?;
-                let cells: Vec<SweepCell> = min_pts_grid
+                let (index, generation, partition) = self.index_for(eps, variant.cell_method)?;
+                min_pts_grid
                     .par_iter()
                     .enumerate()
                     .map(|(i, &min_pts)| {
-                        let start = Instant::now();
-                        if i > 0 {
-                            // Cells after the column's first reuse its index:
-                            // count them as partition hits so the counters
-                            // track logical queries, not cache lookups.
+                        // Cells after the ε's first share the index that
+                        // cell fetched or built: they count as partition
+                        // hits, so the counters track logical queries, and
+                        // report the phase skipped by its generation.
+                        let fetched = if i == 0 {
+                            partition.clone()
+                        } else {
                             self.counters.record_partition(true);
-                        }
-                        let (core, core_hit, mark_core_time) =
-                            self.core_for(&index, generation, min_pts, variant.mark_core);
-                        let (clustering, cluster_core_time, cluster_border_time) =
-                            run_cluster_phases(&index, &core, &variant);
-                        let stats = QueryStats {
-                            eps,
-                            min_pts,
-                            variant: variant.paper_name(),
-                            // Cells after the ε's first share the index that
-                            // cell fetched or built, so reuse is reported
-                            // from their perspective.
-                            partition_cache_hit: if i == 0 { partition_hit } else { true },
-                            core_cache_hit: core_hit,
-                            // The shared index build is attributed to the
-                            // ε's first grid cell.
-                            partition_time: if i == 0 {
-                                partition_time
-                            } else {
-                                Duration::ZERO
-                            },
-                            mark_core_time,
-                            cluster_core_time,
-                            cluster_border_time,
-                            // The ε's first cell also absorbed the shared
-                            // index build (it happened before this cell's
-                            // timer started), so total_time must cover it —
-                            // phase times never exceed the total.
-                            total_time: start.elapsed()
-                                + if i == 0 {
-                                    partition_time
-                                } else {
-                                    Duration::ZERO
-                                },
-                            num_cells: index.num_cells(),
-                            num_core_points: core.num_core_points(),
-                            index_generation: generation,
+                            PhaseExecution::skipped(obs::phase::PARTITION, generation)
                         };
-                        SweepCell {
+                        let shared = Some((Arc::clone(&index), generation, fetched));
+                        let params = DbscanParams::new(eps, min_pts);
+                        let mut cell = self.query_index(params, &variant, shared)?;
+                        if i == 0 {
+                            // The ε's first cell also absorbed the shared
+                            // index build, timed before this cell's span
+                            // opened, so its total covers that phase too.
+                            cell.stats.total_time += partition.duration;
+                        }
+                        Ok(SweepCell {
                             eps,
                             min_pts,
-                            clustering,
-                            stats,
-                        }
+                            clustering: cell.clustering,
+                            stats: cell.stats,
+                        })
                     })
-                    .collect();
-                Ok(cells)
+                    .collect()
             })
             .collect();
         let mut grid = Vec::with_capacity(eps_grid.len() * min_pts_grid.len());
@@ -430,28 +384,63 @@ impl<const D: usize> Snapshot<D> {
         lock(&self.cores).len()
     }
 
-    /// Fetches or builds the spatial index for `(eps, cell_method)`.
-    /// Returns `(index, generation, was_cache_hit, build_time)`.
-    fn index_for(
+    /// Runs one query under the `engine`/`query` span, whose duration is
+    /// its `total_time`: fetches or builds the index (a sweep cell passes
+    /// its column's `shared` one instead), then runs MarkCore (or reuses a
+    /// cached core set), ClusterCore, ClusterBorder and canonicalization.
+    fn query_index(
         &self,
-        eps: f64,
-        cell_method: CellMethod,
-    ) -> Result<(Arc<SpatialIndex<D>>, u64, bool, Duration), DbscanError> {
+        params: DbscanParams,
+        variant: &VariantConfig,
+        shared: Option<IndexFetch<D>>,
+    ) -> Result<QueryResult, DbscanError> {
+        let span = obs::Span::enter("engine", obs::phase::QUERY)
+            .eps(params.eps)
+            .min_pts(params.min_pts)
+            .n(self.num_points());
+        let (index, generation, partition) = match shared {
+            Some(shared) => shared,
+            None => self.index_for(params.eps, variant.cell_method)?,
+        };
+        let (core, mark_core) =
+            self.core_for(&index, generation, params.min_pts, variant.mark_core);
+        let partition_cache_hit = !partition.executed();
+        let core_cache_hit = !mark_core.executed();
+        let mut phases = vec![partition, mark_core];
+        let options = ClusterCoreOptions::from_variant(variant);
+        let clustering = cluster_phases(&index, &core, &options, &mut phases);
+        let stats = QueryStats {
+            eps: params.eps,
+            min_pts: params.min_pts,
+            variant: variant.paper_name(),
+            partition_cache_hit,
+            core_cache_hit,
+            phases,
+            total_time: span.finish(),
+            num_cells: index.num_cells(),
+            num_core_points: core.num_core_points(),
+            index_generation: generation,
+        };
+        Ok(QueryResult { clustering, stats })
+    }
+
+    /// Fetches or builds the spatial index for `(eps, cell_method)`.
+    fn index_for(&self, eps: f64, cell_method: CellMethod) -> Result<IndexFetch<D>, DbscanError> {
         let key = IndexKey {
             eps_bits: eps.to_bits(),
             cell_method,
         };
         if let Some((generation, index)) = lock(&self.partitions).get(&key) {
             self.counters.record_partition(true);
-            return Ok((index, generation, true, Duration::ZERO));
+            let skipped = PhaseExecution::skipped(obs::phase::PARTITION, generation);
+            return Ok((index, generation, skipped));
         }
         // Build outside the cache lock: a concurrent query for a *different*
         // ε must not serialize behind this build. Two concurrent misses on
         // the same ε may both build; the insert below is idempotent and each
         // build gets its own generation, so core sets never cross instances.
-        let start = Instant::now();
-        let index = Arc::new(SpatialIndex::build(&self.points, eps, cell_method)?);
-        let build_time = start.elapsed();
+        let (index, built) = partition_phase(&self.points, eps, cell_method)?;
+        let index = Arc::new(index);
         let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
         {
             let mut partitions = lock(&self.partitions);
@@ -467,29 +456,32 @@ impl<const D: usize> Snapshot<D> {
             }
         }
         self.counters.record_partition(false);
-        Ok((index, generation, false, build_time))
+        Ok((index, generation, built))
     }
 
     /// Fetches or builds the core set for `(index generation, min_pts)`.
-    /// Returns `(core, was_cache_hit, mark_core_time)`.
+    /// Returns `(core, mark_core phase record)`. The core cache is keyed on
+    /// the index generation, so a hit reports the phase skipped by it.
     fn core_for(
         &self,
         index: &Arc<SpatialIndex<D>>,
         generation: u64,
         min_pts: usize,
         method: MarkCoreMethod,
-    ) -> (Arc<CoreSet<D>>, bool, Duration) {
+    ) -> (Arc<CoreSet<D>>, PhaseExecution) {
         let key = CoreKey {
             index_generation: generation,
             min_pts,
         };
         if let Some(core) = lock(&self.cores).get(&key) {
             self.counters.record_core(true);
-            return (core, true, Duration::ZERO);
+            return (
+                core,
+                PhaseExecution::skipped(obs::phase::MARK_CORE, generation),
+            );
         }
-        let start = Instant::now();
-        let core = Arc::new(mark_core(index, min_pts, method));
-        let elapsed = start.elapsed();
+        let (core, ran) = mark_core_phase(index, min_pts, method);
+        let core = Arc::new(core);
         {
             // Insert only while this generation is still in the partition
             // cache, holding the partitions lock (same order as index_for:
@@ -501,30 +493,13 @@ impl<const D: usize> Snapshot<D> {
             }
         }
         self.counters.record_core(false);
-        (core, false, elapsed)
+        (core, ran)
     }
 }
 
 /// End-to-end duration histogram of [`Snapshot::query_variant`] calls
 /// (`dbscan_query_duration_seconds`).
 static QUERY_SECONDS: obs::LazyHistogram = obs::LazyHistogram::new("dbscan_query_duration_seconds");
-
-/// Runs phases 3–4 (always computed) and canonicalizes the result.
-fn run_cluster_phases<const D: usize>(
-    index: &SpatialIndex<D>,
-    core: &CoreSet<D>,
-    variant: &VariantConfig,
-) -> (Clustering, Duration, Duration) {
-    let options = ClusterCoreOptions::from_variant(variant);
-    let start = Instant::now();
-    let core_clusters = cluster_core(index, core, &options);
-    let cluster_core_time = start.elapsed();
-    let start = Instant::now();
-    let cluster_sets = cluster_border(index, core, &core_clusters);
-    let clustering = Clustering::from_sets(core.core_flags.clone(), cluster_sets);
-    let cluster_border_time = start.elapsed();
-    (clustering, cluster_core_time, cluster_border_time)
-}
 
 /// Locks ignoring poisoning (a panicked query must not wedge the snapshot).
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {

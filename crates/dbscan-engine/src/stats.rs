@@ -5,11 +5,12 @@ use std::time::Duration;
 
 /// Timing and reuse statistics of one [`crate::Snapshot::query`] call.
 ///
-/// Phase durations follow Algorithm 1: `partition_time` is phase 1 (cells +
-/// neighbour lists), `mark_core_time` phase 2, `cluster_core_time` phase 3,
-/// `cluster_border_time` phase 4 plus result canonicalization. A phase
-/// served from cache reports a zero duration and the corresponding
-/// `*_cache_hit` flag.
+/// `phases` lists the query's phases in Algorithm 1 order — partition
+/// (cells + neighbour lists), MarkCore, ClusterCore, ClusterBorder, then
+/// canonicalization. A phase that ran carries the duration of the `core`
+/// span that timed it; a phase served from cache is recorded as skipped by
+/// the reused index generation, matching the corresponding `*_cache_hit`
+/// flag. EXPLAIN reports the same list.
 #[derive(Debug, Clone)]
 pub struct QueryStats {
     /// The ε of the query.
@@ -24,16 +25,12 @@ pub struct QueryStats {
     pub partition_cache_hit: bool,
     /// Whether phase 2 was served from the snapshot's core-set cache.
     pub core_cache_hit: bool,
-    /// Time spent building the cell partition + neighbour lists (zero on a
-    /// cache hit).
-    pub partition_time: Duration,
-    /// Time spent in MarkCore (zero on a cache hit).
-    pub mark_core_time: Duration,
-    /// Time spent in ClusterCore (always computed).
-    pub cluster_core_time: Duration,
-    /// Time spent in ClusterBorder + canonicalization (always computed).
-    pub cluster_border_time: Duration,
-    /// End-to-end wall time of the query.
+    /// One record per phase, in pipeline order: run with its span's
+    /// duration, or skipped by a cache hit.
+    pub phases: Vec<obs::PhaseExecution>,
+    /// End-to-end wall time of the query: the `engine`/`query` span's
+    /// duration (for a sweep's first cell per ε, plus the shared index
+    /// build it reports as its partition phase).
     pub total_time: Duration,
     /// Number of non-empty ε-cells in the partition used.
     pub num_cells: usize,
@@ -51,26 +48,20 @@ impl std::fmt::Display for QueryStats {
     /// per-phase timings (cached phases print `hit` instead of a duration).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let ms = |d: Duration| format!("{:.2}ms", d.as_secs_f64() * 1e3);
+        let phases: Vec<String> = (self.phases.iter())
+            .map(|p| match p.executed() {
+                true => format!("{} {}", p.phase, ms(p.duration)),
+                false => format!("{} hit", p.phase),
+            })
+            .collect();
         write!(
             f,
-            "{} eps={} minPts={}: {} total (partition {}, mark_core {}, cluster_core {}, \
-             cluster_border {}), {} cells, {} core, index gen {}",
+            "{} eps={} minPts={}: {} total ({}), {} cells, {} core, index gen {}",
             self.variant,
             self.eps,
             self.min_pts,
             ms(self.total_time),
-            if self.partition_cache_hit {
-                "hit".to_string()
-            } else {
-                ms(self.partition_time)
-            },
-            if self.core_cache_hit {
-                "hit".to_string()
-            } else {
-                ms(self.mark_core_time)
-            },
-            ms(self.cluster_core_time),
-            ms(self.cluster_border_time),
+            phases.join(", "),
             self.num_cells,
             self.num_core_points,
             self.index_generation,

@@ -7,7 +7,6 @@ use crate::http::{json_f64, json_string, Request, Response};
 use crate::state::{AppState, Dataset};
 use dbscan::{ConcurrentSession, Error, Generation, Params, PointCloud, VariantConfig};
 use std::sync::Arc;
-use std::time::Instant;
 
 static REQUESTS: obs::LazyCounter = obs::LazyCounter::with_help(
     "dbscan_serve_requests_total",
@@ -42,16 +41,14 @@ pub const MAX_SWEEP_LABELS: usize = 1 << 24;
 /// response still carries `close: false`; the connection loop decides the
 /// final keep-alive disposition.
 pub fn dispatch(state: &AppState, request: &Request) -> Response {
-    let start = Instant::now();
-    let response = {
-        let _span = obs::Span::enter("serve", obs::phase::REQUEST);
-        route(state, request)
-    };
+    let span = obs::Span::enter("serve", obs::phase::REQUEST);
+    let response = route(state, request);
+    let elapsed = span.finish();
     REQUESTS.incr();
     if response.status >= 400 {
         ERRORS.incr();
     }
-    DURATION.observe(start.elapsed());
+    DURATION.observe(elapsed);
     response
 }
 

@@ -3,15 +3,15 @@
 use crate::stats::{StreamError, UpdateBatch, UpdateStats};
 use dbscan_engine::{Engine, Snapshot};
 use geom::Point;
+use obs::PhaseExecution;
 use pardbscan::pipeline::SpatialIndex;
 use pardbscan::{
-    connect_region, mark_core, mark_core_region, CellMethod, Clustering, DbscanError, DbscanParams,
-    MarkCoreMethod,
+    connect_region, mark_core_phase, mark_core_region, partition_phase, CellMethod, Clustering,
+    DbscanError, DbscanParams, MarkCoreMethod,
 };
 use rayon::prelude::*;
 use spatial::OverlayPartition;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::time::Instant;
 use unionfind::DynamicUnionFind;
 
 /// Process-wide registry mirrors of the per-batch [`UpdateStats`] fields
@@ -94,7 +94,7 @@ impl<const D: usize> StreamingClusterer<D> {
     /// input order.
     pub fn new(points: Vec<Point<D>>, params: DbscanParams) -> Result<Self, StreamError> {
         params.validate()?;
-        let index = SpatialIndex::build(&points, params.eps, CellMethod::Grid)?;
+        let (index, _) = partition_phase(&points, params.eps, CellMethod::Grid)?;
         Self::from_index(&index, params.min_pts)
     }
 
@@ -111,7 +111,7 @@ impl<const D: usize> StreamingClusterer<D> {
         if let Some(index) = snapshot.cached_index(params.eps, CellMethod::Grid) {
             return Self::from_index(&index, params.min_pts);
         }
-        let index = SpatialIndex::build(snapshot.points(), params.eps, CellMethod::Grid)?;
+        let (index, _) = partition_phase(snapshot.points(), params.eps, CellMethod::Grid)?;
         Self::from_index(&index, params.min_pts)
     }
 
@@ -122,7 +122,7 @@ impl<const D: usize> StreamingClusterer<D> {
     pub fn from_index(index: &SpatialIndex<D>, min_pts: usize) -> Result<Self, StreamError> {
         let params = DbscanParams::new(index.eps, min_pts);
         params.validate()?;
-        let core_set = mark_core(index, min_pts, MarkCoreMethod::Scan);
+        let (core_set, _) = mark_core_phase(index, min_pts, MarkCoreMethod::Scan);
         let overlay = OverlayPartition::from_partition(index.partition.clone())
             .map_err(StreamError::Unsupported)?;
 
@@ -162,6 +162,9 @@ impl<const D: usize> StreamingClusterer<D> {
         }
         let partition = &index.partition;
         let core_flags = &core_set.core_flags;
+        let span = obs::Span::enter("core", obs::phase::CONNECT_REGION)
+            .eps(params.eps)
+            .n(pairs.len());
         let edges = connect_region(
             params.eps,
             &pairs,
@@ -176,6 +179,7 @@ impl<const D: usize> StreamingClusterer<D> {
             },
             |c| partition.cells[c].bbox,
         );
+        span.finish();
         for edge in edges {
             let (g, h) = edge.cells;
             let s = clusterer.cell_slot[&clusterer.overlay.cell_key(g)];
@@ -267,7 +271,10 @@ impl<const D: usize> StreamingClusterer<D> {
     /// never to the whole dataset (except through the overlay's amortized
     /// compaction).
     pub fn apply(&mut self, batch: UpdateBatch<D>) -> Result<UpdateStats, StreamError> {
-        let start = Instant::now();
+        let span = obs::Span::enter("stream", obs::phase::APPLY)
+            .eps(self.params.eps)
+            .min_pts(self.params.min_pts)
+            .n(batch.len());
         // Validate up front: the batch either fully applies or not at all.
         self.validate_inserts(&batch.inserts)?;
         let mut seen = HashSet::with_capacity(batch.deletes.len());
@@ -279,11 +286,6 @@ impl<const D: usize> StreamingClusterer<D> {
                 return Err(StreamError::DuplicateDelete(id));
             }
         }
-
-        let _span = obs::Span::enter("stream", obs::phase::APPLY)
-            .eps(self.params.eps)
-            .min_pts(self.params.min_pts)
-            .n(batch.len());
 
         let mut stats = UpdateStats {
             inserted: batch.inserts.len(),
@@ -321,9 +323,12 @@ impl<const D: usize> StreamingClusterer<D> {
         // Cell liveness is stable for the rest of the call (all overlay
         // updates happened in step 1), so each cell's neighbour list is
         // computed once here and shared by every later step — the candidate
-        // enumeration in 3D alone walks 342 keys per cell.
-        let step_start = Instant::now();
+        // enumeration in 3D alone walks 342 keys per cell. The phase's span
+        // covers that memo as well as the region pass.
         let min_pts = self.params.min_pts;
+        let step = obs::Span::enter("core", obs::phase::MARK_CORE_REGION)
+            .eps(self.params.eps)
+            .min_pts(min_pts);
         let mut nbr_memo: HashMap<usize, Vec<usize>> = HashMap::new();
         for &c in &touched {
             nbr_memo.insert(c, self.overlay.neighbor_cells(c));
@@ -344,6 +349,7 @@ impl<const D: usize> StreamingClusterer<D> {
         }
         let dirty_vec: Vec<usize> = dirty.iter().copied().collect();
         stats.cells_touched = dirty_vec.len();
+        let step = step.n(dirty_vec.len());
         let overlay = &self.overlay;
         let memo = &nbr_memo;
         let region = mark_core_region(
@@ -353,7 +359,7 @@ impl<const D: usize> StreamingClusterer<D> {
             |c| overlay.live_points_of_cell(c),
             |c| memo[&c].clone(),
         );
-        stats.mark_core_region_time = step_start.elapsed();
+        stats.phases.push(PhaseExecution::finished(step));
 
         // Diff the flags: which cells gained core points, which lost them?
         // (`lost` already holds the deleted-core cells.)
@@ -424,7 +430,9 @@ impl<const D: usize> StreamingClusterer<D> {
         stats.connectivity_queries = candidates.len();
         let overlay = &self.overlay;
         let core = &self.core;
-        let step_start = Instant::now();
+        let step = obs::Span::enter("core", obs::phase::CONNECT_REGION)
+            .eps(self.params.eps)
+            .n(candidates.len());
         let present: HashMap<(usize, usize), (usize, usize)> = connect_region(
             self.params.eps,
             &candidates,
@@ -440,7 +448,7 @@ impl<const D: usize> StreamingClusterer<D> {
         .into_iter()
         .map(|edge| (edge.cells, edge.witness))
         .collect();
-        stats.connect_region_time = step_start.elapsed();
+        stats.phases.push(PhaseExecution::finished(step));
 
         // Diff against the stored graph, symmetric updates on both sides.
         let mut removed_edges: Vec<(usize, usize)> = Vec::new();
@@ -541,7 +549,7 @@ impl<const D: usize> StreamingClusterer<D> {
         }
 
         self.cell_scratch = scratch;
-        stats.elapsed = start.elapsed();
+        stats.elapsed = span.finish();
         STREAM_APPLIES.incr();
         STREAM_CELLS_TOUCHED.add(stats.cells_touched as u64);
         STREAM_RESCANNED.add(stats.points_rescanned as u64);

@@ -78,26 +78,19 @@ pub struct UpdateStats {
     /// Whether the overlay compacted (re-semisorted its base) after this
     /// batch.
     pub compacted: bool,
-    /// Wall time of the localized MarkCore pass over the dirty region
-    /// (step 2 — the `mark_core_region` phase).
-    pub mark_core_region_time: Duration,
-    /// Wall time of the BCP re-connection of surviving cell pairs
-    /// (step 3 — the `connect_region` phase).
-    pub connect_region_time: Duration,
-    /// Wall-clock time of the whole `apply` call.
+    /// The batch's timed phases, each with the duration of the span that
+    /// timed it: `mark_core_region` (step 2, including the neighbour-list
+    /// memo) and `connect_region` (step 3, the BCP re-connection of
+    /// candidate cell pairs). A durable clusterer prepends `wal_append`,
+    /// then `wal_fsync` when the batch's fsync ran. EXPLAIN reports this
+    /// list as it is.
+    pub phases: Vec<obs::PhaseExecution>,
+    /// Wall-clock time of the whole `apply` call: the `stream`/`apply`
+    /// span's duration (validation included).
     pub elapsed: Duration,
     /// Bytes appended to the write-ahead log for this batch. Zero for a
-    /// non-durable clusterer — the `dbscan-durable` wrapper fills the three
-    /// WAL fields, and the facade's EXPLAIN report includes the WAL phases
-    /// only when this is non-zero.
+    /// non-durable clusterer; the `dbscan-durable` wrapper fills it.
     pub wal_bytes: u64,
-    /// Wall time spent encoding and appending the batch's WAL record
-    /// (zero without a WAL — the `wal_append` phase).
-    pub wal_append_time: Duration,
-    /// Wall time spent in fsync for this batch's WAL record (zero without a
-    /// WAL or when the group-commit policy deferred the sync — the
-    /// `wal_fsync` phase).
-    pub wal_fsync_time: Duration,
 }
 
 /// Errors reported by the streaming clusterer.

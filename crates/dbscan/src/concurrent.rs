@@ -334,13 +334,12 @@ fn publish_locked(
     params: DbscanParams,
     writer: &mut WriterState,
 ) -> Result<Arc<Generation>, Error> {
-    let start = std::time::Instant::now();
     let id = writer.next_generation;
+    let span = obs::Span::enter("concurrent", obs::phase::PUBLISH)
+        .eps(params.eps)
+        .min_pts(params.min_pts)
+        .n(writer.session.num_points());
     let generation = {
-        let _span = obs::Span::enter("concurrent", obs::phase::PUBLISH)
-            .eps(params.eps)
-            .min_pts(params.min_pts)
-            .n(writer.session.num_points());
         let inner = writer.session.inner.publish_indexed(id)?;
         let labels = writer.session.inner.stream_labels();
         // Live coordinates already passed ingest/update validation, so the
@@ -354,9 +353,10 @@ fn publish_locked(
             session: ClusterSession::from_parts(dim, inner),
         }
     };
+    let elapsed = span.finish();
     writer.next_generation += 1;
     GENERATIONS_PUBLISHED.incr();
-    PUBLISH_SECONDS.observe(start.elapsed());
+    PUBLISH_SECONDS.observe(elapsed);
     Ok(Arc::new(generation))
 }
 

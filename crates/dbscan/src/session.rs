@@ -102,94 +102,6 @@ impl SessionBuilder {
     }
 }
 
-/// Builds the EXPLAIN phase list of one query from its stats: a cache hit
-/// reports the phase as skipped by the generation whose artifact served it,
-/// a miss reports the phase's measured duration. (ClusterCore and
-/// ClusterBorder always run.)
-fn phases_from_query(stats: &QueryStats) -> Vec<obs::PhaseExecution> {
-    vec![
-        if stats.partition_cache_hit {
-            obs::PhaseExecution::skipped(obs::phase::PARTITION, stats.index_generation)
-        } else {
-            obs::PhaseExecution::ran(obs::phase::PARTITION, stats.partition_time)
-        },
-        if stats.core_cache_hit {
-            // The core cache is keyed on (index generation, minPts), so the
-            // index generation identifies the reused artifact here too.
-            obs::PhaseExecution::skipped(obs::phase::MARK_CORE, stats.index_generation)
-        } else {
-            obs::PhaseExecution::ran(obs::phase::MARK_CORE, stats.mark_core_time)
-        },
-        obs::PhaseExecution::ran(obs::phase::CLUSTER_CORE, stats.cluster_core_time),
-        obs::PhaseExecution::ran(obs::phase::CLUSTER_BORDER, stats.cluster_border_time),
-    ]
-}
-
-/// Aggregates the per-cell phase outcomes of a sweep into one run/skip
-/// tally per phase.
-fn phases_from_sweep(cells: &[SweepCell]) -> Vec<obs::PhaseExecution> {
-    let mut out: Vec<obs::PhaseExecution> = [
-        obs::phase::PARTITION,
-        obs::phase::MARK_CORE,
-        obs::phase::CLUSTER_CORE,
-        obs::phase::CLUSTER_BORDER,
-    ]
-    .into_iter()
-    .map(|phase| obs::PhaseExecution {
-        phase,
-        runs: 0,
-        skips: 0,
-        skipped_by_generation: None,
-        duration: std::time::Duration::ZERO,
-    })
-    .collect();
-    for cell in cells {
-        for p in phases_from_query(&cell.stats) {
-            let acc = out
-                .iter_mut()
-                .find(|a| a.phase == p.phase)
-                .expect("fixed phase set");
-            acc.runs += p.runs;
-            acc.skips += p.skips;
-            acc.duration += p.duration;
-            if p.skipped_by_generation.is_some() {
-                acc.skipped_by_generation = p.skipped_by_generation;
-            }
-        }
-    }
-    out
-}
-
-/// The EXPLAIN phase list of one streaming apply: the two maintenance
-/// phases that dominate an update's cost (overlay bookkeeping and
-/// component/adjacency repair are part of the wall total). A durable
-/// session's applies additionally report the write-ahead logging cost —
-/// the WAL phases appear exactly when the batch was logged
-/// (`stats.wal_bytes > 0`), so non-durable sessions' reports are
-/// unchanged.
-fn phases_from_update(stats: &UpdateStats) -> Vec<obs::PhaseExecution> {
-    let mut phases = Vec::with_capacity(4);
-    if stats.wal_bytes > 0 {
-        phases.push(obs::PhaseExecution::ran(
-            obs::phase::WAL_APPEND,
-            stats.wal_append_time,
-        ));
-        phases.push(obs::PhaseExecution::ran(
-            obs::phase::WAL_FSYNC,
-            stats.wal_fsync_time,
-        ));
-    }
-    phases.push(obs::PhaseExecution::ran(
-        obs::phase::MARK_CORE_REGION,
-        stats.mark_core_region_time,
-    ));
-    phases.push(obs::PhaseExecution::ran(
-        obs::phase::CONNECT_REGION,
-        stats.connect_region_time,
-    ));
-    phases
-}
-
 /// One clustering result grid cell of a [`ClusterSession::sweep`].
 pub struct SweepCell {
     /// The ε of this grid cell.
@@ -199,7 +111,7 @@ pub struct SweepCell {
     /// The labels for `(eps, min_pts)` — the same [`Labels`] type every
     /// other session path produces.
     pub labels: Labels,
-    /// Phase timings and cache-reuse flags of this grid cell's query.
+    /// Phase records and cache-reuse flags of this grid cell's query.
     pub stats: QueryStats,
 }
 
@@ -209,7 +121,7 @@ pub struct SweepCell {
 pub struct QueryOutcome {
     /// The labels.
     pub labels: Labels,
-    /// Phase timings and cache-reuse flags of this query.
+    /// Phase records and cache-reuse flags of this query.
     pub stats: QueryStats,
 }
 
@@ -397,22 +309,17 @@ impl ClusterSession {
         variant: VariantConfig,
     ) -> Result<QueryOutcome, Error> {
         let params = params.into();
-        let scope = obs::OpScope::begin_with_pool("query", rayon::pool_busy_nanos());
-        let outcome = {
-            let _span = obs::Span::enter("session", obs::phase::QUERY)
-                .eps(params.eps)
-                .min_pts(params.min_pts)
-                .n(self.num_points());
-            self.inner.query(params, variant)
-        }?;
-        let mut report = scope.finish_with_pool(rayon::pool_busy_nanos(), rayon::pool_threads());
+        let span = obs::Span::enter("session", obs::phase::QUERY)
+            .eps(params.eps)
+            .min_pts(params.min_pts)
+            .n(self.num_points());
+        let scope = obs::OpScope::begin(span, rayon::pool_busy_nanos());
+        let outcome = self.inner.query(params, variant)?;
+        let mut report = scope.finish(rayon::pool_busy_nanos(), rayon::pool_threads());
         report.variant = outcome.stats.variant.clone();
-        report.eps = params.eps;
-        report.min_pts = params.min_pts;
-        report.n = self.num_points();
         report.cells_visited = outcome.stats.num_cells;
         report.num_core_points = outcome.stats.num_core_points;
-        report.phases = phases_from_query(&outcome.stats);
+        report.phases = outcome.stats.phases.clone();
         self.store_explain(report);
         Ok(outcome)
     }
@@ -429,13 +336,11 @@ impl ClusterSession {
     pub fn sweep(&self, grid: impl Into<SweepGrid>) -> Result<Vec<SweepCell>, Error> {
         let grid = grid.into();
         let (eps_grid, min_pts_grid, variant) = (grid.eps, grid.min_pts, grid.variant);
-        let scope = obs::OpScope::begin_with_pool("sweep", rayon::pool_busy_nanos());
-        let grid = {
-            let _span = obs::Span::enter("session", obs::phase::SWEEP)
-                .n(eps_grid.len() * min_pts_grid.len());
-            self.inner.sweep(&eps_grid, &min_pts_grid, variant)
-        }?;
-        let mut report = scope.finish_with_pool(rayon::pool_busy_nanos(), rayon::pool_threads());
+        let span =
+            obs::Span::enter("session", obs::phase::SWEEP).n(eps_grid.len() * min_pts_grid.len());
+        let scope = obs::OpScope::begin(span, rayon::pool_busy_nanos());
+        let grid = self.inner.sweep(&eps_grid, &min_pts_grid, variant)?;
+        let mut report = scope.finish(rayon::pool_busy_nanos(), rayon::pool_threads());
         report.variant = format!(
             "{} over a {}x{} grid",
             variant.paper_name(),
@@ -451,7 +356,7 @@ impl ClusterSession {
         report.n = self.num_points() * grid.len().max(1);
         report.cells_visited = grid.iter().map(|c| c.stats.num_cells).sum();
         report.num_core_points = grid.iter().map(|c| c.stats.num_core_points).sum();
-        report.phases = phases_from_sweep(&grid);
+        report.phases = obs::PhaseExecution::fold(grid.iter().map(|c| &c.stats.phases[..]));
         self.store_explain(report);
         Ok(grid)
     }
@@ -566,20 +471,15 @@ impl UpdateHandle<'_> {
         deletes: &[usize],
     ) -> Result<UpdateStats, Error> {
         let n = insert_coords.len() / self.session.dim.max(1) + deletes.len();
-        let scope = obs::OpScope::begin_with_pool("apply", rayon::pool_busy_nanos());
-        let stats = {
-            let _span = obs::Span::enter("session", obs::phase::APPLY)
-                .eps(self.params.eps)
-                .min_pts(self.params.min_pts)
-                .n(n);
-            self.session.inner.apply(insert_coords, deletes)
-        }?;
-        let mut report = scope.finish_with_pool(rayon::pool_busy_nanos(), rayon::pool_threads());
-        report.eps = self.params.eps;
-        report.min_pts = self.params.min_pts;
-        report.n = n;
+        let span = obs::Span::enter("session", obs::phase::APPLY)
+            .eps(self.params.eps)
+            .min_pts(self.params.min_pts)
+            .n(n);
+        let scope = obs::OpScope::begin(span, rayon::pool_busy_nanos());
+        let stats = self.session.inner.apply(insert_coords, deletes)?;
+        let mut report = scope.finish(rayon::pool_busy_nanos(), rayon::pool_threads());
         report.cells_visited = stats.cells_touched;
-        report.phases = phases_from_update(&stats);
+        report.phases = stats.phases.clone();
         self.session.store_explain(report);
         Ok(stats)
     }

@@ -245,7 +245,8 @@ mod tests {
 
     #[test]
     fn explain_json_is_balanced() {
-        let report = crate::OpScope::begin("query").finish();
+        let span = crate::Span::enter("session", crate::phase::QUERY);
+        let report = crate::OpScope::begin(span, 0).finish(0, 1);
         let text = explain_json(&report);
         assert_eq!(
             text.matches('{').count(),

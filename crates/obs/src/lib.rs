@@ -6,7 +6,8 @@
 //!    record `(path, phase, eps, min_pts, n, duration, thread)` tuples into a
 //!    bounded ring buffer, with [`phase`] constants matching the paper's
 //!    Algorithm 1 so a sweep's trace shows which phase re-ran for which
-//!    parameters.
+//!    parameters. A span is also the workspace's one stopwatch: it times in
+//!    every mode, and [`Span::finish`] returns the duration it records.
 //! 2. **A metrics registry** ([`LazyCounter`], [`Gauge`], [`Histogram`],
 //!    [`snapshot`]): named atomic counters/gauges plus fixed-bucket duration
 //!    histograms, with a typed [`MetricsReport`] and a Prometheus
@@ -21,11 +22,11 @@
 //! `DBSCAN_FORCE_SCALAR` in the distance kernels — changing the variable
 //! after the first instrumented call has no effect on this process:
 //!
-//! | value      | counters & histograms | spans |
-//! |------------|-----------------------|-------|
-//! | `off`      | no                    | no    |
-//! | `counters` | yes (default)         | no    |
-//! | `trace`    | yes                   | yes   |
+//! | value      | counters & histograms | span records |
+//! |------------|-----------------------|--------------|
+//! | `off`      | no                    | no           |
+//! | `counters` | yes (default)         | no           |
+//! | `trace`    | yes                   | yes          |
 //!
 //! Unknown values fall back to `counters`.
 //!
@@ -150,7 +151,7 @@ pub fn counters_enabled() -> bool {
     mode_code() >= MODE_COUNTERS
 }
 
-/// `true` when spans should record (`DBSCAN_OBS=trace`).
+/// `true` when spans should record into the ring (`DBSCAN_OBS=trace`).
 #[inline]
 pub fn trace_enabled() -> bool {
     mode_code() == MODE_TRACE
@@ -167,21 +168,24 @@ pub mod phase {
     pub const CLUSTER_CORE: &str = "cluster_core";
     /// Border-point assignment (Algorithm 1, ClusterBorder).
     pub const CLUSTER_BORDER: &str = "cluster_border";
+    /// Canonical cluster renumbering (`Clustering::from_sets`).
+    pub const CANONICALIZE: &str = "canonicalize";
     /// One engine/facade query (all phases plus cache lookups).
     pub const QUERY: &str = "query";
     /// One engine/facade parameter-grid sweep.
     pub const SWEEP: &str = "sweep";
     /// One streaming update batch.
     pub const APPLY: &str = "apply";
-    /// Streaming step 2: re-flag core status over the dirty region.
+    /// Streaming step 2: re-flag core status over the dirty region,
+    /// including building the batch's neighbour-list memo.
     pub const MARK_CORE_REGION: &str = "mark_core_region";
     /// Streaming step 3: BCP re-connection of surviving cell pairs.
     pub const CONNECT_REGION: &str = "connect_region";
     /// Encoding + appending one update batch's write-ahead-log record
     /// (`dbscan-durable`).
     pub const WAL_APPEND: &str = "wal_append";
-    /// Fsyncing the write-ahead log for one update batch (absent under a
-    /// deferring group-commit policy).
+    /// Fsyncing the write-ahead log (absent from a batch whose fsync a
+    /// group-commit policy deferred).
     pub const WAL_FSYNC: &str = "wal_fsync";
     /// Opening a durable store: snapshot load + WAL replay.
     pub const RECOVERY: &str = "recovery";

@@ -1,13 +1,14 @@
 //! Scoped per-operation attribution: [`OpScope`] brackets one `query` /
 //! `sweep` / `apply` and yields an [`ExplainReport`] — the EXPLAIN output
-//! for that one operation, assembled from registry deltas, the span ring,
-//! the worker-pool profile, and (optionally) allocation counters.
+//! for that one operation, assembled from the operation's own span,
+//! registry deltas, the span ring, the worker-pool profile, and
+//! (optionally) allocation counters.
 //!
 //! The registry itself is process-cumulative; a scope turns it into
 //! per-operation numbers by snapshotting at begin and diffing at finish.
-//! The caller (the `dbscan` facade) fills in what only it knows: which
-//! phases its operation ran vs. cache-skipped, and the pool busy-time
-//! samples (obs stays dependency-free, so it cannot read the pool itself).
+//! The caller (the `dbscan` facade) fills in what only it knows: the phase
+//! records its operation's stats carry, and the pool busy-time samples
+//! (obs stays dependency-free, so it cannot read the pool itself).
 //!
 //! Limitation, by design: with concurrent operations in one process the
 //! counter/alloc deltas attribute *jointly* — everything that advanced
@@ -17,12 +18,14 @@
 
 use crate::alloc::AllocStats;
 use crate::metrics::MetricsReport;
-use crate::trace::SpanRecord;
+use crate::trace::{Span, SpanRecord};
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How one phase fared inside a scoped operation: how many times it ran,
-/// how many times a cache skipped it, and the wall time of the runs.
+/// How one phase fared inside an operation: how many times it ran, how
+/// many times a cache skipped it, and the wall time of the runs. A run's
+/// duration is the [`Span::finish`] value of the span that timed it, so
+/// the record and the trace carry the same number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseExecution {
     /// Phase name — one of the [`crate::phase`] constants.
@@ -50,6 +53,12 @@ impl PhaseExecution {
         }
     }
 
+    /// The record of a phase that ran under `span`: ends the span and takes
+    /// its phase name and [`Span::finish`] duration.
+    pub fn finished(span: Span) -> PhaseExecution {
+        PhaseExecution::ran(span.rec.phase, span.finish())
+    }
+
     /// A phase skipped by a cache hit on the artifact from `generation`.
     pub fn skipped(phase: &'static str, generation: u64) -> PhaseExecution {
         PhaseExecution {
@@ -69,6 +78,24 @@ impl PhaseExecution {
     /// `true` if the phase was only ever cache-skipped.
     pub fn cache_skipped(&self) -> bool {
         self.runs == 0 && self.skips > 0
+    }
+
+    /// Folds several operations' phase lists (a sweep's cells) into one
+    /// run/skip tally per phase, in first-seen order. Durations add up; a
+    /// skipped phase keeps the last generation that skipped it.
+    pub fn fold<'a>(lists: impl IntoIterator<Item = &'a [PhaseExecution]>) -> Vec<PhaseExecution> {
+        let mut out: Vec<PhaseExecution> = Vec::new();
+        for p in lists.into_iter().flatten() {
+            let Some(acc) = out.iter_mut().find(|a| a.phase == p.phase) else {
+                out.push(p.clone());
+                continue;
+            };
+            acc.runs += p.runs;
+            acc.skips += p.skips;
+            acc.duration += p.duration;
+            acc.skipped_by_generation = p.skipped_by_generation.or(acc.skipped_by_generation);
+        }
+        out
     }
 }
 
@@ -105,7 +132,9 @@ pub struct ExplainReport {
     /// Problem size: points queried, grid cells × points swept, or batch
     /// updates applied.
     pub n: usize,
-    /// End-to-end wall time of the scoped window.
+    /// End-to-end wall time of the operation: the [`Span::finish`] value of
+    /// the session span the [`OpScope`] owns, so the trace's session span
+    /// reads the same number.
     pub wall: Duration,
     /// Per-phase execution/skip accounting, in pipeline order.
     pub phases: Vec<PhaseExecution>,
@@ -238,53 +267,48 @@ impl fmt::Display for ExplainReport {
     }
 }
 
-/// Brackets one operation: snapshots the registry, span ring, and
-/// allocation counters at [`OpScope::begin`], diffs them at
-/// [`OpScope::finish`]. See the module docs for the attribution caveats.
+/// Brackets one operation: owns the operation's span, and snapshots the
+/// registry, span ring, and allocation counters at [`OpScope::begin`],
+/// diffing them at [`OpScope::finish`]. The report's `op`, `eps`,
+/// `min_pts` and `n` are the span's, and its `wall` is the span's
+/// [`Span::finish`] value: one clock per operation. See the module docs
+/// for the attribution caveats.
 pub struct OpScope {
-    op: &'static str,
+    span: Span,
     before: MetricsReport,
     seq_floor: u64,
     pool_busy0_ns: u64,
     alloc0: AllocStats,
     // `alloc0` is sampled last in `begin` and first again in `finish`, so
     // the scope's own snapshot allocations fall outside the alloc window.
-    started: Instant,
 }
 
 impl OpScope {
-    /// Open a scope for `op` with no pool sample (pool busy reads as zero).
-    pub fn begin(op: &'static str) -> OpScope {
-        OpScope::begin_with_pool(op, 0)
-    }
-
-    /// Open a scope for `op`. `pool_busy_ns` is the caller's sample of the
-    /// worker pool's cumulative busy nanoseconds (e.g.
-    /// `rayon::pool_busy_nanos()`); pass 0 if unavailable.
-    pub fn begin_with_pool(op: &'static str, pool_busy_ns: u64) -> OpScope {
+    /// Open a scope around `span`. `pool_busy_ns` is the caller's sample of
+    /// the worker pool's cumulative busy nanoseconds (e.g.
+    /// `rayon::pool_busy_nanos()`); pass 0 if unavailable. The span's clock
+    /// restarts once the scope's snapshots are taken, so they fall outside
+    /// the timed window.
+    pub fn begin(mut span: Span, pool_busy_ns: u64) -> OpScope {
         let before = crate::snapshot();
         let seq_floor = crate::trace_seq();
+        let alloc0 = crate::alloc::stats();
+        span.start = Some(std::time::Instant::now());
         OpScope {
-            op,
+            span,
             before,
             seq_floor,
             pool_busy0_ns: pool_busy_ns,
-            alloc0: crate::alloc::stats(),
-            started: Instant::now(),
+            alloc0,
         }
-    }
-
-    /// Close the scope with no pool sample (efficiency computes as if the
-    /// operation were single-threaded).
-    pub fn finish(self) -> ExplainReport {
-        self.finish_with_pool(0, 1)
     }
 
     /// Close the scope. `pool_busy_ns` is the pool's cumulative busy
     /// nanoseconds *now* (same source as at begin); `threads` is the
     /// parallelism the operation had available (pool workers + the caller).
-    pub fn finish_with_pool(self, pool_busy_ns: u64, threads: usize) -> ExplainReport {
-        let wall = self.started.elapsed();
+    pub fn finish(self, pool_busy_ns: u64, threads: usize) -> ExplainReport {
+        let rec = self.span.rec.clone();
+        let wall = self.span.finish();
         // Alloc first: everything finish itself allocates (snapshot, span
         // clones, the report) stays outside the measured window.
         let alloc1 = crate::alloc::stats();
@@ -298,11 +322,11 @@ impl OpScope {
         let parallel_efficiency =
             (pool_busy.as_secs_f64() + wall.as_secs_f64()) / (wall_s * threads as f64);
         ExplainReport {
-            op: self.op,
+            op: rec.phase,
             variant: String::new(),
-            eps: f64::NAN,
-            min_pts: 0,
-            n: 0,
+            eps: rec.eps,
+            min_pts: rec.min_pts,
+            n: rec.n,
             wall,
             phases: Vec::new(),
             cells_visited: 0,
@@ -329,34 +353,50 @@ mod tests {
     #[test]
     fn scope_diffs_counters_without_bleed() {
         static C: crate::LazyCounter = crate::LazyCounter::new("obs_test_scope_total");
-        let scope = OpScope::begin("query");
+        let scope = OpScope::begin(Span::enter("session", crate::phase::QUERY), 0);
         C.add(5);
-        let report = scope.finish();
+        let report = scope.finish(0, 1);
         assert_eq!(report.delta("obs_test_scope_total"), 5);
 
         // A back-to-back scope must not see the first scope's advances.
-        let scope = OpScope::begin("query");
+        let scope = OpScope::begin(Span::enter("session", crate::phase::QUERY), 0);
         C.add(2);
-        let report2 = scope.finish();
+        let report2 = scope.finish(0, 1);
         assert_eq!(report2.delta("obs_test_scope_total"), 2);
         assert_eq!(report2.op, "query");
     }
 
     #[test]
     fn efficiency_accounts_for_caller_thread() {
-        let scope = OpScope::begin_with_pool("sweep", 1_000);
+        // `outer` brackets the scope, so it reads at least the scope's wall.
+        let outer = std::time::Instant::now();
+        let scope = OpScope::begin(Span::enter("session", crate::phase::SWEEP), 1_000);
         std::thread::sleep(Duration::from_millis(2));
         // Pool did 3× the wall in busy time on 4 threads => efficiency ≈ 1.
-        let wall_ns = scope.started.elapsed().as_nanos() as u64;
-        let report = scope.finish_with_pool(1_000 + 3 * wall_ns, 4);
+        let wall_ns = outer.elapsed().as_nanos() as u64;
+        let report = scope.finish(1_000 + 3 * wall_ns, 4);
         assert!(report.parallel_efficiency > 0.8 && report.parallel_efficiency <= 1.1);
         assert_eq!(report.threads, 4);
     }
 
     #[test]
+    fn fold_tallies_each_phase_in_first_seen_order() {
+        let (ms, p) = (Duration::from_millis, crate::phase::PARTITION);
+        let first = [PhaseExecution::ran(p, ms(3))];
+        let second = [
+            PhaseExecution::skipped(p, 7),
+            PhaseExecution::ran("x", ms(2)),
+        ];
+        let folded = PhaseExecution::fold([&first[..], &second[..], &first[..]]);
+        let mut want = PhaseExecution::ran(p, ms(6));
+        (want.runs, want.skips, want.skipped_by_generation) = (2, 1, Some(7));
+        assert_eq!(folded, [want, PhaseExecution::ran("x", ms(2))]);
+    }
+
+    #[test]
     fn display_renders_phases_and_skips() {
-        let scope = OpScope::begin("query");
-        let mut report = scope.finish();
+        let scope = OpScope::begin(Span::enter("session", crate::phase::QUERY), 0);
+        let mut report = scope.finish(0, 1);
         report.variant = "our-exact".to_string();
         report.eps = 0.25;
         report.min_pts = 10;

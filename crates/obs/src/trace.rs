@@ -126,90 +126,97 @@ pub fn trace_dropped() -> u64 {
     ring().dropped
 }
 
-struct ActiveSpan {
-    path: &'static str,
-    phase: &'static str,
-    eps: f64,
-    min_pts: usize,
-    n: usize,
-    start: Instant,
-}
-
-/// RAII span guard: times the enclosing scope and records a [`SpanRecord`]
-/// on drop. When tracing is disabled ([`crate::trace_enabled`] is false) the
-/// guard is inert — construction takes one atomic load and drop does
-/// nothing.
+/// RAII span guard and the workspace's one stopwatch: times the enclosing
+/// scope in every mode and, under `DBSCAN_OBS=trace`, records a
+/// [`SpanRecord`] when it ends (by [`Span::finish`], or on drop). A caller
+/// that reports `finish()`'s duration in stats, EXPLAIN or a histogram
+/// reports the very number the trace shows.
 ///
 /// ```
-/// let _span = obs::Span::enter("core", obs::phase::MARK_CORE)
+/// let span = obs::Span::enter("core", obs::phase::MARK_CORE)
 ///     .eps(0.5)
 ///     .min_pts(10)
 ///     .n(100_000);
-/// // ... phase work; the span records when `_span` drops ...
+/// // ... phase work ...
+/// let took = span.finish(); // records the span, returns what it recorded
+/// # let _ = took;
 /// ```
 #[must_use = "a span records the time until it is dropped; binding it to _ drops it immediately"]
-pub struct Span(Option<ActiveSpan>);
+pub struct Span {
+    /// The record to be: path, phase and attributes (the timing fields are
+    /// filled in when the span ends).
+    pub(crate) rec: SpanRecord,
+    /// `None` once the span has ended (by [`Span::finish`] or on drop).
+    pub(crate) start: Option<Instant>,
+}
 
 impl Span {
     /// Start a span on `path` (the emitting layer) for `phase` (one of
-    /// [`crate::phase`]). No-op unless `DBSCAN_OBS=trace`.
+    /// [`crate::phase`]).
     pub fn enter(path: &'static str, phase: &'static str) -> Span {
-        if !crate::trace_enabled() {
-            return Span(None);
-        }
         // Pin the epoch before sampling `start` so the offset can't go
         // negative even for the very first span.
         epoch();
-        Span(Some(ActiveSpan {
-            path,
-            phase,
-            eps: f64::NAN,
-            min_pts: 0,
-            n: 0,
-            start: Instant::now(),
-        }))
+        Span {
+            rec: SpanRecord {
+                path,
+                phase,
+                eps: f64::NAN,
+                min_pts: 0,
+                n: 0,
+                start: Duration::ZERO,
+                duration: Duration::ZERO,
+                thread: 0,
+                seq: 0, // assigned by `record` under the ring lock
+            },
+            start: Some(Instant::now()),
+        }
     }
 
     /// Attach the ε this phase runs under.
     pub fn eps(mut self, eps: f64) -> Span {
-        if let Some(a) = self.0.as_mut() {
-            a.eps = eps;
-        }
+        self.rec.eps = eps;
         self
     }
 
     /// Attach the minPts this phase runs under.
     pub fn min_pts(mut self, min_pts: usize) -> Span {
-        if let Some(a) = self.0.as_mut() {
-            a.min_pts = min_pts;
-        }
+        self.rec.min_pts = min_pts;
         self
     }
 
     /// Attach the problem size this phase saw.
     pub fn n(mut self, n: usize) -> Span {
-        if let Some(a) = self.0.as_mut() {
-            a.n = n;
-        }
+        self.rec.n = n;
         self
+    }
+
+    /// End the span now: record it (under `DBSCAN_OBS=trace`) and return
+    /// the duration it recorded.
+    pub fn finish(mut self) -> Duration {
+        self.end()
+    }
+
+    fn end(&mut self) -> Duration {
+        let Some(start) = self.start.take() else {
+            return Duration::ZERO;
+        };
+        let duration = start.elapsed();
+        if crate::trace_enabled() {
+            record(SpanRecord {
+                start: start.saturating_duration_since(epoch()),
+                duration,
+                thread: crate::thread_id(),
+                ..self.rec.clone()
+            });
+        }
+        duration
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(a) = self.0.take() {
-            record(SpanRecord {
-                path: a.path,
-                phase: a.phase,
-                eps: a.eps,
-                min_pts: a.min_pts,
-                n: a.n,
-                start: a.start.saturating_duration_since(epoch()),
-                duration: a.start.elapsed(),
-                thread: crate::thread_id(),
-                seq: 0, // assigned by `record` under the ring lock
-            });
-        }
+        self.end();
     }
 }
 
@@ -284,7 +291,8 @@ mod tests {
     #[test]
     fn span_guard_is_inert_when_tracing_disabled() {
         // The test process does not set DBSCAN_OBS=trace (mode defaults to
-        // counters), so guards must record nothing.
+        // counters), so guards must record nothing. They still time:
+        // `finish` reports the elapsed time in every mode.
         let _guard = TEST_LOCK.lock().unwrap();
         let _ = take_trace();
         {
@@ -293,6 +301,9 @@ mod tests {
                 .min_pts(5)
                 .n(42);
         }
+        let span = Span::enter("core", crate::phase::PARTITION);
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(span.finish() >= Duration::from_millis(1));
         assert_eq!(trace_len(), 0);
     }
 

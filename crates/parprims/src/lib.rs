@@ -11,7 +11,6 @@
 //! | Comparison sort | O(n log n) | O(log n) | [`sort`] |
 //! | Integer sort (poly-log key range) | O(n) | O(log n) | [`sort`] |
 //! | Semisort | O(n) expected | O(log n) w.h.p. | [`semisort`] |
-//! | Merge | O(n) | O(log n) | [`merge`] |
 //! | Concurrent hash table (n ops) | O(n) w.h.p. | O(log n) w.h.p. | [`hashtable`] |
 //! | Pointer jumping (list ranking) | O(n log n) | O(log n) | [`pointer_jump`] |
 //!
@@ -26,7 +25,6 @@
 pub mod csr;
 pub mod filter;
 pub mod hashtable;
-pub mod merge;
 pub mod pointer_jump;
 pub mod prefix;
 pub mod semisort;
@@ -36,7 +34,6 @@ mod util;
 pub use csr::Csr;
 pub use filter::{count_if, filter, filter_indexed, partition_indices};
 pub use hashtable::ConcurrentMap;
-pub use merge::{merge_by, merge_sorted};
 pub use pointer_jump::{pointer_jump_roots, strip_heads_to_assignment};
 pub use prefix::{prefix_sum, prefix_sum_inplace, prefix_sum_with_total};
 pub use semisort::{semisort_by_key, GroupedByKey};

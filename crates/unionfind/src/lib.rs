@@ -1,4 +1,4 @@
-//! Lock-free concurrent union-find and parallel connected components.
+//! Sequential, lock-free concurrent, and dynamic union-find.
 //!
 //! The paper's ClusterCore step (Algorithm 3) merges the cell-graph
 //! construction with the connected-components computation using a *lock-free*
@@ -8,10 +8,8 @@
 //!
 //! [`ConcurrentUnionFind`] implements the standard CAS-based scheme with path
 //! halving; all operations are wait-free except the CAS retry loop in
-//! `union`. The [`connected_components`] function runs the union-find over an
-//! explicit edge list in parallel (used by the Delaunay-based cell-graph
-//! construction, where the edges are produced by a filter over the
-//! triangulation rather than by on-the-fly connectivity queries).
+//! `union`. The Delaunay-based cell-graph construction unions the edges it
+//! filters from the triangulation straight into the same structure.
 //!
 //! [`DynamicUnionFind`] serves the *incremental* maintenance path
 //! (`dbscan-stream`): it tracks the members of every component explicitly
@@ -22,12 +20,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod components;
 pub mod concurrent;
 pub mod dynamic;
 pub mod sequential;
 
-pub use components::{component_labels, connected_components};
 pub use concurrent::ConcurrentUnionFind;
 pub use dynamic::DynamicUnionFind;
 pub use sequential::SequentialUnionFind;

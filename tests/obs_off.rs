@@ -22,6 +22,11 @@ fn obs_off_records_no_spans_and_no_metrics() {
     let params = Params::new(0.2, 3);
     let labels = session.cluster(params).unwrap();
     assert_eq!(labels.num_clusters(), 1);
+    // The mode gates recording, not timing: a fresh query still reports
+    // every phase as run, each with its measured duration.
+    let phases = session.explain_last().unwrap().phases;
+    assert_eq!(phases.len(), 5, "partition through canonicalize");
+    assert!(phases.iter().all(|p| p.executed() && !p.duration.is_zero()));
     session.sweep(([0.2, 0.4], [3, 5])).unwrap();
     // The per-session views are independent of the observability mode.
     // (Captured before the streaming episode: freezing back re-indexes the
