@@ -28,8 +28,8 @@
 //! [`pipeline`] module exposes the algorithm's internal state. Callers whose
 //! dimensionality arrives at runtime — or who want one handle covering
 //! one-shot runs, cached parameter sweeps and streaming updates — should
-//! start at the `dbscan` facade crate, which dispatches here through the
-//! sealed [`ErasedPipeline`] jump table.
+//! start at the `dbscan` facade crate, which dispatches here through one
+//! jump table over the dimensions it serves.
 //!
 //! ## Quick start
 //!
@@ -67,7 +67,6 @@ mod cluster_border;
 mod cluster_core;
 mod connectivity;
 mod dbscan;
-mod erased;
 pub mod kernels;
 mod mark_core;
 mod params;
@@ -78,7 +77,6 @@ pub use cluster_border::cluster_border;
 pub use cluster_core::{cluster_core, ClusterCoreOptions};
 pub use connectivity::{bcp_scratch_stats, bichromatic_closest_pair, reset_bcp_scratch_stats};
 pub use dbscan::{cluster_phases, dbscan, dbscan_approx, mark_core_phase, partition_phase, Dbscan};
-pub use erased::{erased_pipeline, ErasedPipeline, ERASED_DIM_MAX, ERASED_DIM_MIN};
 pub use kernels::{active_backend, Backend};
 pub use mark_core::mark_core;
 pub use params::{

@@ -1,16 +1,16 @@
-//! Durability for the DBSCAN engine and update stream: persisted
-//! snapshots, a write-ahead log, crash recovery, and the fault-injection
-//! harness that proves them.
+//! Durability for the DBSCAN update stream: persisted snapshots, a
+//! write-ahead log, crash recovery, and the fault-injection harness that
+//! proves them.
 //!
 //! The paper's engine is an in-memory system — index once, query many,
-//! stream updates. This crate adds the missing operational half: the state
-//! those layers maintain can be made to *survive the process*.
+//! stream updates. This crate adds the missing operational half: the live
+//! point set the stream maintains can be made to *survive the process*.
 //!
-//! - [`snapshot`]: a versioned, checksummed binary format for engine
-//!   [`dbscan_engine::Snapshot`]s (flat coordinates, cached spatial
-//!   indexes as CSR segments, generation stamps) and for streaming live
-//!   sets. [`PersistSnapshot::persist`] / [`LoadSnapshot::load`] are the
-//!   engine-facing entry points; writes commit by atomic rename.
+//! - [`snapshot`]: a versioned, checksummed binary format for a store's
+//!   live set (flat coordinates and external ids). Writes commit by atomic
+//!   rename; [`init_store`] and [`read_store_snapshot`] are the store-level
+//!   entry points. No spatial index is persisted: a reopened store
+//!   re-partitions its points.
 //! - [`wal`]: an append-only LSN'd log of update batches with per-record
 //!   CRC32, torn-tail truncation, and a [`FsyncPolicy`] trading latency
 //!   for bounded loss.
@@ -56,7 +56,7 @@ pub mod wal;
 
 pub use error::DurableError;
 pub use fault::{FaultPlan, FaultStorage};
-pub use snapshot::{LoadSnapshot, PersistSnapshot, SnapshotData};
+pub use snapshot::SnapshotData;
 pub use storage::{RealStorage, Storage, StorageFile};
 pub use stream::{init_store, read_store_snapshot, store_dim, DurableClusterer, DurableOptions};
 pub use wal::{FsyncPolicy, Wal, WalHeader, WalRecord};

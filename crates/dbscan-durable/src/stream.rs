@@ -171,7 +171,6 @@ pub fn init_store<const D: usize>(
         next_ext_id: n,
         ext_ids: (0..n).collect(),
         points,
-        indexes: Vec::new(),
     };
     write_snapshot_file(storage, &snapshot_path(dir, 0), &data)?;
     for lsn in snapshot_lsns(storage, dir)? {
@@ -499,7 +498,6 @@ impl<const D: usize> DurableClusterer<D> {
             next_ext_id: self.next_ext_id,
             ext_ids: live.iter().map(|&(int, _)| self.ext_of_int[int]).collect(),
             points: live.into_iter().map(|(_, p)| p).collect(),
-            indexes: Vec::new(),
         };
         write_snapshot_file(&self.storage, &snapshot_path(&self.dir, base_lsn), &data)?;
         self.wal = Wal::create(
@@ -561,18 +559,10 @@ impl<const D: usize> DurableClusterer<D> {
         self.inner.clustering()
     }
 
-    /// Checkpoints and consumes the store, returning the inner clusterer
-    /// (used by the facade's freeze path).
-    pub fn into_inner(mut self) -> Result<StreamingClusterer<D>, DurableError> {
-        self.checkpoint()?;
-        Ok(self.inner)
-    }
-
     /// Read access to the wrapped in-memory clusterer — for non-consuming
     /// reads that need more than [`DurableClusterer::clustering`] (e.g. the
-    /// generational publish path snapshots the live set through
-    /// [`StreamingClusterer::snapshot_live`] while the durable handle keeps
-    /// logging batches).
+    /// facade's publish and freeze paths snapshot the live set through
+    /// [`StreamingClusterer::snapshot_live`]).
     pub fn clusterer(&self) -> &StreamingClusterer<D> {
         &self.inner
     }
@@ -662,6 +652,37 @@ mod tests {
         let recovered = DurableClusterer::<2>::open(rebooted.shared(), dir, options()).unwrap();
         assert_eq!(recovered.clustering(), reference.clustering());
         assert_eq!(recovered.last_lsn(), 5);
+    }
+
+    #[test]
+    fn a_checkpoint_does_not_refsync_a_synced_wal() {
+        let storage = FaultStorage::new();
+        let dir = Path::new("/store");
+        let options = DurableOptions {
+            fsync: FsyncPolicy::PerBatch,
+            checkpoint_every: 0,
+        };
+        let mut durable =
+            DurableClusterer::create(storage.shared(), dir, cloud(12), params(), options).unwrap();
+        // Nothing is logged yet: the storage operations of a checkpoint
+        // that has no WAL fsync to make.
+        let before = storage.op_count();
+        durable.checkpoint().unwrap();
+        let checkpoint_ops = storage.op_count() - before;
+
+        let stats = durable
+            .apply(UpdateBatch::inserts(vec![Point2::new([0.15, 0.0])]))
+            .unwrap();
+        let fsyncs = stats
+            .phases
+            .iter()
+            .filter(|p| p.phase == obs::phase::WAL_FSYNC);
+        assert_eq!(fsyncs.count(), 1, "a per-batch apply fsyncs its record");
+        // The batch's own fsync made the WAL durable, so the checkpoint
+        // issues no second one.
+        let before = storage.op_count();
+        durable.checkpoint().unwrap();
+        assert_eq!(storage.op_count() - before, checkpoint_ops);
     }
 
     #[test]

@@ -411,10 +411,11 @@ impl Wal {
     }
 
     /// Fsyncs pending appends now (a group-commit flush point). Returns the
-    /// `wal_fsync` phase record, or `None` when no append handle is open
-    /// (nothing to fsync, so no span is recorded either).
+    /// `wal_fsync` phase record, or `None` when no append is pending (every
+    /// append is already synced, or no append handle is open: nothing to
+    /// fsync, so no span is recorded either).
     pub fn sync(&mut self) -> Result<Option<obs::PhaseExecution>, DurableError> {
-        let Some(file) = self.file.as_mut() else {
+        let Some(file) = self.file.as_mut().filter(|_| self.unsynced > 0) else {
             return Ok(None);
         };
         let span = obs::Span::enter("durable", obs::phase::WAL_FSYNC).n(self.unsynced);

@@ -56,14 +56,6 @@ impl<K: PartialEq, V: Clone> LruCache<K, V> {
         self.entries.retain(|(k, _)| !pred(k));
     }
 
-    /// Iterates the entries in recency order (least recently used first)
-    /// without refreshing anyone's recency. Used by snapshot persistence to
-    /// enumerate the cached state; re-inserting entries in this order on
-    /// load reproduces the same eviction order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|(k, v)| (k, v))
-    }
-
     /// Number of cached entries.
     #[cfg(test)]
     pub fn len(&self) -> usize {

@@ -19,15 +19,16 @@
 //!
 //! This crate holds those reusable states in per-snapshot caches:
 //!
-//! * [`Engine`] configures cache capacities and indexes a point set;
-//! * [`Snapshot`] owns an immutable point set plus two small LRU caches —
-//!   `(ε, cell method) → SpatialIndex`, and `(index instance, minPts) →
-//!   CoreSet` (core sets are positional in their index's cell order, which
-//!   the grid semisort does not promise to reproduce across rebuilds, so
-//!   they are keyed to the concrete index *instance*: after an index is
-//!   evicted and rebuilt, MarkCore re-runs rather than risk a stale cell
-//!   order) — and answers [`Snapshot::query`] by running only the phases
-//!   the parameters actually invalidate;
+//! * [`Snapshot::new`] takes ownership of a point set; the [`Snapshot`]
+//!   owns it, immutable, plus two small LRU caches of fixed capacity —
+//!   `(ε, cell method) → SpatialIndex` (8 entries), and `(index instance,
+//!   minPts) → CoreSet` (32 entries; core sets are positional in their
+//!   index's cell order, which the grid semisort does not promise to
+//!   reproduce across rebuilds, so they are keyed to the concrete index
+//!   *instance*: after an index is evicted and rebuilt, MarkCore re-runs
+//!   rather than risk a stale cell order) — and answers
+//!   [`Snapshot::query`] by running only the phases the parameters
+//!   actually invalidate;
 //! * [`Snapshot::sweep`] executes an `ε-grid × minPts-grid` cross-product in
 //!   parallel with rayon, sharing each ε's spatial index across all minPts
 //!   values;
@@ -46,19 +47,18 @@
 //!
 //! A [`Snapshot`]'s points are immutable — the right trade for sweep-heavy
 //! serving, the wrong one for live ingest. The `dbscan-stream` crate
-//! covers the other axis of reuse: its `IntoStreaming::into_streaming`
-//! extension converts a snapshot into a `StreamingClusterer` that maintains
-//! exact labels under point insertions and deletions (reusing this
-//! snapshot's cached spatial index via [`Snapshot::cached_index`] when one
-//! matches), and `StreamingClusterer::freeze()` hands the updated point set
-//! back as a fresh [`Snapshot`]. A service can therefore alternate between
-//! ingest mode and sweep mode without ever re-indexing from cold state.
+//! covers the other axis of reuse: `StreamingClusterer::from_snapshot`
+//! starts maintaining a snapshot's points under insertions and deletions
+//! (reusing its cached spatial index via [`Snapshot::cached_index`] when one
+//! matches), and `StreamingClusterer::snapshot_live` copies the live set
+//! into a fresh [`Snapshot`]. The `dbscan` facade's `ClusterSession`
+//! alternates between the two modes this way.
 //!
 //! ## Where this sits
 //!
 //! This crate is the *statically-typed, advanced* interface to snapshot
-//! serving: `Engine`/`Snapshot` are monomorphized on the compile-time
-//! dimension and expose explicit cache control. The `dbscan` facade crate
+//! serving: [`Snapshot`] is monomorphized on the compile-time dimension and
+//! exposes the cache machinery directly. The `dbscan` facade crate
 //! wraps a snapshot behind its runtime-dimension `ClusterSession` (query
 //! and sweep paths) — start there unless you need a compile-time `D` or
 //! the raw [`QueryResult`]/[`Snapshot::cached_index`] machinery. The
@@ -68,7 +68,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use dbscan_engine::Engine;
+//! use dbscan_engine::Snapshot;
 //! use geom::Point2;
 //! use pardbscan::DbscanParams;
 //!
@@ -78,7 +78,7 @@
 //!     points.push(Point2::new([0.1 * i as f64, 50.0]));
 //! }
 //!
-//! let snapshot = Engine::new().index(points);
+//! let snapshot = Snapshot::new(points, 0);
 //!
 //! // First query builds the partition; the second reuses it because only
 //! // minPts changed.
@@ -101,7 +101,7 @@ mod cache;
 mod snapshot;
 mod stats;
 
-pub use snapshot::{Engine, QueryResult, Snapshot, SweepCell};
+pub use snapshot::{QueryResult, Snapshot, SweepCell};
 pub use stats::{CacheStats, QueryStats};
 
 // Re-exports so engine users don't need a separate pardbscan dependency for

@@ -13,111 +13,13 @@ use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Configuration for building [`Snapshot`]s: how much reusable phase state
-/// each snapshot may cache.
-///
-/// A spatial index is the expensive phase-1 state for one `(ε, cell
-/// method)`; a core set is the phase-2 state for one `(ε, cell method,
-/// minPts)`. Both are `Arc`-shared, so capacities trade memory for sweep
-/// and repeat-query speed.
-#[derive(Debug, Clone)]
-pub struct Engine {
-    partition_cache_capacity: usize,
-    core_cache_capacity: usize,
-}
+/// How many spatial indexes (distinct `(ε, cell method)` pairs) a
+/// snapshot caches. An index is the expensive phase-1 state, `Arc`-shared
+/// with the queries using it.
+const PARTITION_CACHE_CAPACITY: usize = 8;
 
-impl Default for Engine {
-    fn default() -> Self {
-        Engine {
-            partition_cache_capacity: 8,
-            core_cache_capacity: 32,
-        }
-    }
-}
-
-impl Engine {
-    /// An engine with default cache capacities (8 spatial indexes, 32 core
-    /// sets per snapshot).
-    pub fn new() -> Self {
-        Engine::default()
-    }
-
-    /// Sets how many spatial indexes (distinct ε values, roughly) a snapshot
-    /// keeps.
-    pub fn partition_cache_capacity(mut self, capacity: usize) -> Self {
-        self.partition_cache_capacity = capacity.max(1);
-        self
-    }
-
-    /// Sets how many core sets (distinct `(ε, minPts)` pairs, roughly) a
-    /// snapshot keeps.
-    pub fn core_cache_capacity(mut self, capacity: usize) -> Self {
-        self.core_cache_capacity = capacity.max(1);
-        self
-    }
-
-    /// Takes ownership of a point set and returns a queryable snapshot.
-    ///
-    /// Indexing itself is lazy: the first query for each `(ε, cell method)`
-    /// builds the corresponding spatial state, which subsequent queries
-    /// reuse. The points are immutable for the snapshot's lifetime — for an
-    /// updated point set, index a new snapshot.
-    pub fn index<const D: usize>(&self, points: Vec<Point<D>>) -> Snapshot<D> {
-        self.index_with_prebuilt(points, Vec::new())
-    }
-
-    /// [`Engine::index`] seeded with already-built spatial indexes — the
-    /// load half of snapshot persistence (`dbscan-durable` reconstructs the
-    /// persisted per-ε state and hands it in here, so the first query after
-    /// a process restart is a partition-cache hit).
-    ///
-    /// Each prebuilt entry is `(generation, index)`; entries are inserted in
-    /// the given order (least recently used first), entries beyond the
-    /// partition-cache capacity evict from the front, and the snapshot's
-    /// generation counter resumes past the largest seeded generation so
-    /// later builds can never collide with a persisted core-set key.
-    pub fn index_with_prebuilt<const D: usize>(
-        &self,
-        points: Vec<Point<D>>,
-        prebuilt: Vec<(u64, SpatialIndex<D>)>,
-    ) -> Snapshot<D> {
-        self.index_from_generation(points, prebuilt, 0)
-    }
-
-    /// [`Engine::index_with_prebuilt`] with an explicit floor for the
-    /// snapshot's generation counter — the publish half of generational
-    /// concurrency (`dbscan`'s `ConcurrentSession` stamps each published
-    /// snapshot's first index generation at the session generation it
-    /// belongs to, so a query's reported `index_generation` identifies the
-    /// published version that answered it).
-    ///
-    /// The counter starts at `max(first_generation, max seeded generation
-    /// + 1)`; seeded entries keep their own stamps.
-    pub fn index_from_generation<const D: usize>(
-        &self,
-        points: Vec<Point<D>>,
-        prebuilt: Vec<(u64, SpatialIndex<D>)>,
-        first_generation: u64,
-    ) -> Snapshot<D> {
-        let mut partitions = LruCache::new(self.partition_cache_capacity);
-        let mut next_generation = first_generation;
-        for (generation, index) in prebuilt {
-            next_generation = next_generation.max(generation + 1);
-            let key = IndexKey {
-                eps_bits: index.eps.to_bits(),
-                cell_method: index.cell_method,
-            };
-            partitions.insert(key, (generation, Arc::new(index)));
-        }
-        Snapshot {
-            points: Arc::new(points),
-            partitions: Mutex::new(partitions),
-            cores: Mutex::new(LruCache::new(self.core_cache_capacity)),
-            counters: CacheCounters::default(),
-            next_generation: AtomicU64::new(next_generation),
-        }
-    }
-}
+/// How many core sets (distinct `(index, minPts)` pairs) a snapshot caches.
+const CORE_CACHE_CAPACITY: usize = 32;
 
 /// A fetched spatial index: the index, its generation, and the record of
 /// its partition phase (a build's run, or a cache hit's skip).
@@ -190,6 +92,29 @@ pub struct SweepCell {
 }
 
 impl<const D: usize> Snapshot<D> {
+    /// Takes ownership of a point set and returns a queryable snapshot
+    /// caching up to 8 spatial indexes and 32 core sets.
+    ///
+    /// Indexing itself is lazy: the first query for each `(ε, cell method)`
+    /// builds the corresponding spatial state, which subsequent queries
+    /// reuse. The points are immutable for the snapshot's lifetime — for an
+    /// updated point set, create a new snapshot.
+    ///
+    /// `first_generation` is the generation stamp of the first index this
+    /// snapshot builds. Pass 0 unless the snapshot is a published version:
+    /// `dbscan`'s `ConcurrentSession` passes the id of the generation it
+    /// publishes, so a query's reported `index_generation` identifies the
+    /// version that answered it.
+    pub fn new(points: Vec<Point<D>>, first_generation: u64) -> Self {
+        Snapshot {
+            points: Arc::new(points),
+            partitions: Mutex::new(LruCache::new(PARTITION_CACHE_CAPACITY)),
+            cores: Mutex::new(LruCache::new(CORE_CACHE_CAPACITY)),
+            counters: CacheCounters::default(),
+            next_generation: AtomicU64::new(first_generation),
+        }
+    }
+
     /// The indexed points, in input order.
     pub fn points(&self) -> &[Point<D>] {
         &self.points
@@ -198,13 +123,6 @@ impl<const D: usize> Snapshot<D> {
     /// Number of indexed points.
     pub fn num_points(&self) -> usize {
         self.points.len()
-    }
-
-    /// Consumes the snapshot and returns its points, in input order. The
-    /// bulk array is recovered without copying when no query result still
-    /// shares it.
-    pub fn into_points(self) -> Vec<Point<D>> {
-        Arc::try_unwrap(self.points).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// The cached spatial index for `(eps, cell_method)`, if this snapshot
@@ -219,18 +137,6 @@ impl<const D: usize> Snapshot<D> {
             cell_method,
         };
         lock(&self.partitions).get(&key).map(|(_, index)| index)
-    }
-
-    /// Every cached spatial index as `(generation, index)`, least recently
-    /// used first, without refreshing recency or touching the hit/miss
-    /// counters. This is the persist half of snapshot durability: feeding
-    /// the entries back to [`Engine::index_with_prebuilt`] in this order
-    /// reproduces the cache's eviction order.
-    pub fn cached_indexes(&self) -> Vec<(u64, Arc<SpatialIndex<D>>)> {
-        lock(&self.partitions)
-            .iter()
-            .map(|(_, (generation, index))| (*generation, Arc::clone(index)))
-            .collect()
     }
 
     /// Runs the paper's default exact variant (`our-exact`) for `params`,
@@ -522,7 +428,7 @@ mod tests {
     #[test]
     fn query_matches_oneshot_and_reuses_partition() {
         let pts = random_points(600, 25.0, 1);
-        let snapshot = Engine::new().index(pts.clone());
+        let snapshot = Snapshot::new(pts.clone(), 0);
 
         let a = snapshot.query(DbscanParams::new(1.5, 5)).unwrap();
         let oneshot = pardbscan::dbscan(&pts, 1.5, 5).unwrap();
@@ -558,7 +464,7 @@ mod tests {
     #[test]
     fn sweep_builds_each_partition_once() {
         let pts = random_points(500, 20.0, 2);
-        let snapshot = Engine::new().index(pts.clone());
+        let snapshot = Snapshot::new(pts.clone(), 0);
         let eps_grid = [0.8, 1.2, 1.6, 2.0, 2.4];
         let min_pts_grid = [4, 9];
         let grid = snapshot.sweep((&eps_grid, &min_pts_grid)).unwrap();
@@ -587,7 +493,7 @@ mod tests {
     #[test]
     fn approximate_and_2d_variants_run_through_the_engine() {
         let pts = random_points(400, 15.0, 3);
-        let snapshot = Engine::new().index(pts.clone());
+        let snapshot = Snapshot::new(pts.clone(), 0);
         for variant in [
             VariantConfig::two_d(CellMethod::Box, pardbscan::CellGraphMethod::Usec),
             VariantConfig::two_d(CellMethod::Grid, pardbscan::CellGraphMethod::Delaunay),
@@ -617,13 +523,13 @@ mod tests {
 
     #[test]
     fn rejects_invalid_parameters_and_dimension_mismatches() {
-        let snapshot = Engine::new().index(random_points(10, 5.0, 4));
+        let snapshot = Snapshot::new(random_points(10, 5.0, 4), 0);
         assert!(snapshot.query(DbscanParams::new(0.0, 5)).is_err());
         assert!(snapshot.query(DbscanParams::new(1.0, 0)).is_err());
         assert!(snapshot
             .query_variant(DbscanParams::new(1.0, 5), VariantConfig::approx(-1.0))
             .is_err());
-        let snapshot3 = Engine::new().index(vec![geom::Point::new([0.0, 0.0, 0.0])]);
+        let snapshot3 = Snapshot::new(vec![geom::Point::new([0.0, 0.0, 0.0])], 0);
         assert!(matches!(
             snapshot3.query_variant(
                 DbscanParams::new(1.0, 1),
@@ -636,31 +542,45 @@ mod tests {
         assert_eq!(snapshot.cache_stats().partition_misses, 0);
     }
 
+    /// `PARTITION_CACHE_CAPACITY + 1` distinct ε values, the first of
+    /// which a full index cache evicts.
+    fn overflowing_eps() -> Vec<f64> {
+        (0..=PARTITION_CACHE_CAPACITY)
+            .map(|i| 1.0 + 0.1 * i as f64)
+            .collect()
+    }
+
     #[test]
     fn lru_eviction_forces_rebuild() {
         let pts = random_points(200, 10.0, 5);
-        let snapshot = Engine::new().partition_cache_capacity(1).index(pts);
-        snapshot.query(DbscanParams::new(1.0, 4)).unwrap();
-        snapshot.query(DbscanParams::new(2.0, 4)).unwrap(); // evicts eps=1.0
-        let again = snapshot.query(DbscanParams::new(1.0, 4)).unwrap();
+        let snapshot = Snapshot::new(pts, 0);
+        let eps = overflowing_eps();
+        for &e in &eps {
+            snapshot.query(DbscanParams::new(e, 4)).unwrap(); // the last evicts eps[0]
+        }
+        let again = snapshot.query(DbscanParams::new(eps[0], 4)).unwrap();
         assert!(!again.stats.partition_cache_hit);
-        assert_eq!(snapshot.cache_stats().partition_misses, 3);
+        assert_eq!(snapshot.cache_stats().partition_misses, eps.len() + 1);
     }
 
     #[test]
     fn evicting_an_index_prunes_its_core_sets() {
         let pts = random_points(300, 12.0, 6);
-        let snapshot = Engine::new().partition_cache_capacity(1).index(pts);
-        // Two minPts against eps=1.0 → two core sets for generation 0.
-        snapshot.query(DbscanParams::new(1.0, 3)).unwrap();
-        snapshot.query(DbscanParams::new(1.0, 6)).unwrap();
+        let snapshot = Snapshot::new(pts, 0);
+        let eps = overflowing_eps();
+        // Two minPts against eps[0] → two core sets for generation 0.
+        snapshot.query(DbscanParams::new(eps[0], 3)).unwrap();
+        snapshot.query(DbscanParams::new(eps[0], 6)).unwrap();
         assert_eq!(snapshot.core_cache_len(), 2);
-        // eps=2.0 evicts the eps=1.0 index; its core sets are unreachable
+        // One query per further ε fills the index cache; the last one
+        // evicts the eps[0] index. Its core sets are unreachable
         // (generation-keyed) and must be dropped with it.
-        snapshot.query(DbscanParams::new(2.0, 3)).unwrap();
-        assert_eq!(snapshot.core_cache_len(), 1);
+        for &e in &eps[1..] {
+            snapshot.query(DbscanParams::new(e, 3)).unwrap();
+        }
+        assert_eq!(snapshot.core_cache_len(), PARTITION_CACHE_CAPACITY);
         // The evicted state is gone, so the same query rebuilds both phases.
-        let redo = snapshot.query(DbscanParams::new(1.0, 3)).unwrap();
+        let redo = snapshot.query(DbscanParams::new(eps[0], 3)).unwrap();
         assert!(!redo.stats.partition_cache_hit);
         assert!(!redo.stats.core_cache_hit);
     }
@@ -668,7 +588,7 @@ mod tests {
     #[test]
     fn sweep_deduplicates_repeated_grid_entries() {
         let pts = random_points(300, 15.0, 7);
-        let snapshot = Engine::new().index(pts.clone());
+        let snapshot = Snapshot::new(pts.clone(), 0);
         // Three distinct eps (one repeated twice), two distinct minPts (one
         // repeated): the sweep must cover the 3 × 2 distinct cross-product.
         let grid = snapshot.sweep(([1.0, 1.5, 1.0, 2.0], [4, 4, 8])).unwrap();
@@ -687,20 +607,21 @@ mod tests {
     }
 
     #[test]
-    fn into_points_and_cached_index_round_trip() {
+    fn cached_index_peeks_without_building() {
         let pts = random_points(120, 8.0, 8);
-        let snapshot = Engine::new().index(pts.clone());
+        let snapshot = Snapshot::new(pts.clone(), 0);
         assert!(snapshot.cached_index(1.0, CellMethod::Grid).is_none());
         snapshot.query(DbscanParams::new(1.0, 4)).unwrap();
         let index = snapshot.cached_index(1.0, CellMethod::Grid).unwrap();
         assert_eq!(index.num_points(), pts.len());
         assert!(snapshot.cached_index(2.0, CellMethod::Grid).is_none());
-        assert_eq!(snapshot.into_points(), pts);
+        assert_eq!(snapshot.cache_stats().partition_misses, 1);
+        assert_eq!(snapshot.points(), pts);
     }
 
     #[test]
     fn empty_point_set() {
-        let snapshot = Engine::new().index(Vec::<Point2>::new());
+        let snapshot = Snapshot::new(Vec::<Point2>::new(), 0);
         let result = snapshot.query(DbscanParams::new(1.0, 3)).unwrap();
         assert!(result.clustering.is_empty());
         assert_eq!(result.stats.num_cells, 0);

@@ -1,7 +1,7 @@
 //! The streaming clusterer: incremental DBSCAN maintenance.
 
 use crate::stats::{StreamError, UpdateBatch, UpdateStats};
-use dbscan_engine::{Engine, Snapshot};
+use dbscan_engine::Snapshot;
 use geom::Point;
 use obs::PhaseExecution;
 use pardbscan::pipeline::SpatialIndex;
@@ -605,30 +605,21 @@ impl<const D: usize> StreamingClusterer<D> {
         self.overlay.compact();
     }
 
-    /// Consumes the clusterer and freezes the live point set into an
-    /// immutable engine [`Snapshot`] for sweep-mode querying (the reverse
-    /// hand-off of [`crate::IntoStreaming::into_streaming`]). Snapshot
-    /// point order is the ascending-id order of
-    /// [`StreamingClusterer::live_points`].
-    pub fn freeze(self) -> Snapshot<D> {
-        self.snapshot_live(&Engine::new(), 0)
-    }
-
-    /// Non-consuming [`StreamingClusterer::freeze`]: clones the live point
-    /// set (ascending-id order) into a fresh engine [`Snapshot`] whose
-    /// generation counter starts at `first_generation`, leaving the
-    /// clusterer free to keep applying updates. This is the publish path of
-    /// generational concurrency — each published generation is an immutable
-    /// snapshot of the live set, stamped so its cache generations identify
-    /// the version that produced them.
-    pub fn snapshot_live(&self, engine: &Engine, first_generation: u64) -> Snapshot<D> {
+    /// Copies the live point set (ascending-id order, as
+    /// [`StreamingClusterer::live_points`] reports it) into a fresh engine
+    /// [`Snapshot`] whose first index generation is `first_generation`
+    /// (see [`Snapshot::new`]), leaving the clusterer free to keep applying
+    /// updates. The `dbscan` facade freezes a streaming episode back into
+    /// query mode, and publishes each generation of a concurrent session,
+    /// through this copy.
+    pub fn snapshot_live(&self, first_generation: u64) -> Snapshot<D> {
         let points: Vec<Point<D>> = self
             .overlay
             .live_ids()
             .into_iter()
             .map(|id| self.overlay.point(id))
             .collect();
-        engine.index_from_generation(points, Vec::new(), first_generation)
+        Snapshot::new(points, first_generation)
     }
 
     /// The slot of the cell with `key`, allocating one (with an empty
@@ -740,22 +731,6 @@ impl<const D: usize> StreamingClusterer<D> {
             }
         }
         updated
-    }
-}
-
-/// Conversion of an engine [`Snapshot`] into a [`StreamingClusterer`]: the
-/// ingest-mode side of the engine integration. Implemented as an extension
-/// trait so `dbscan-engine` does not need to depend on this crate.
-pub trait IntoStreaming<const D: usize> {
-    /// Consumes the snapshot and starts maintaining its point set
-    /// incrementally under `params`: [`StreamingClusterer::from_snapshot`]
-    /// for callers that are done with the snapshot.
-    fn into_streaming(self, params: DbscanParams) -> Result<StreamingClusterer<D>, StreamError>;
-}
-
-impl<const D: usize> IntoStreaming<D> for Snapshot<D> {
-    fn into_streaming(self, params: DbscanParams) -> Result<StreamingClusterer<D>, StreamError> {
-        StreamingClusterer::from_snapshot(&self, params)
     }
 }
 
@@ -897,33 +872,6 @@ mod tests {
                 .apply(UpdateBatch::inserts(vec![Point2::new([f64::NAN, 0.0])]))
                 .unwrap_err(),
             StreamError::NonFinitePoint(0)
-        );
-    }
-
-    #[test]
-    fn into_streaming_and_freeze_round_trip() {
-        use dbscan_engine::Engine;
-        let pts = random_points(300, 12.0, 4);
-        let params = DbscanParams::new(1.2, 5);
-        let snapshot = Engine::new().index(pts.clone());
-        snapshot.query(params).unwrap(); // warm the index cache
-        let mut clusterer = snapshot.into_streaming(params).unwrap();
-        assert_matches_batch(&clusterer, "into_streaming");
-        clusterer
-            .apply(UpdateBatch::inserts(random_points(30, 12.0, 5)))
-            .unwrap();
-        assert_matches_batch(&clusterer, "after ingest");
-        let live: Vec<Point2> = clusterer
-            .live_points()
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect();
-        let frozen = clusterer.freeze();
-        let result = frozen.query(params).unwrap();
-        assert_eq!(
-            result.clustering,
-            pardbscan::dbscan(&live, params.eps, params.min_pts).unwrap(),
-            "frozen snapshot serves the live set"
         );
     }
 

@@ -46,11 +46,11 @@
 //! enforces this over random interleavings of insert/delete batches.
 //!
 //! **Engine integration.** A service can alternate between sweep mode and
-//! ingest mode: [`IntoStreaming::into_streaming`] turns an engine
-//! [`dbscan_engine::Snapshot`] into a [`StreamingClusterer`] (reusing the
-//! snapshot's cached spatial index when one exists), and
-//! [`StreamingClusterer::freeze`] hands the live set back as an immutable
-//! snapshot.
+//! ingest mode: [`StreamingClusterer::from_snapshot`] starts maintaining an
+//! engine [`dbscan_engine::Snapshot`]'s points (reusing the snapshot's
+//! cached spatial index when one exists), and
+//! [`StreamingClusterer::snapshot_live`] copies the live set into a fresh
+//! immutable snapshot.
 //!
 //! ## Where this sits
 //!
@@ -97,7 +97,7 @@
 mod clusterer;
 mod stats;
 
-pub use clusterer::{IntoStreaming, StreamingClusterer};
+pub use clusterer::StreamingClusterer;
 pub use stats::{StreamError, UpdateBatch, UpdateStats};
 
 // Re-exports so stream users don't need separate dependencies for basic use.

@@ -11,10 +11,9 @@ use std::fmt;
 /// Errors reported by the `dbscan` facade.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
-    /// The point dimensionality is outside the facade's dispatch range
-    /// (`pardbscan::ERASED_DIM_MIN..=ERASED_DIM_MAX`, i.e. 2..=8). Higher
-    /// dimensions remain reachable through the statically-typed per-crate
-    /// APIs.
+    /// The point dimensionality is outside the facade's dispatch range,
+    /// 2..=8. Higher dimensions remain reachable through the
+    /// statically-typed per-crate APIs.
     UnsupportedDimension(usize),
     /// A point (a pushed row, an update insert, or a query point) does not
     /// have the cloud's dimensionality.
@@ -87,8 +86,8 @@ impl fmt::Display for Error {
                 "dimension {dim} is outside the facade's supported range \
                  {}..={} (use the statically-typed per-crate APIs for other \
                  dimensions)",
-                pardbscan::ERASED_DIM_MIN,
-                pardbscan::ERASED_DIM_MAX
+                crate::MIN_DIM,
+                crate::MAX_DIM
             ),
             Error::DimensionMismatch { expected, got } => write!(
                 f,

@@ -28,7 +28,7 @@
 //! it on drop.
 //!
 //! The statically-typed per-crate APIs ([`pardbscan::Dbscan`],
-//! [`engine::Engine`], [`stream::StreamingClusterer`]) remain available as
+//! [`engine::Snapshot`], [`stream::StreamingClusterer`]) remain available as
 //! the advanced interface — for compile-time dimensions (including d > 8),
 //! phase-granular control, and zero-overhead embedding.
 //!
@@ -60,6 +60,35 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+/// The smallest dimension the facade serves (its jump table's first arm).
+pub(crate) const MIN_DIM: usize = 2;
+/// The largest dimension the facade serves (its jump table's last arm).
+/// Higher dimensions remain reachable through the statically-typed
+/// per-crate APIs (the paper evaluates up to d = 13); the table stops where
+/// the grid neighbour enumeration and k-d tree constants stay practical for
+/// a service accepting arbitrary runtime input.
+pub(crate) const MAX_DIM: usize = 8;
+
+/// The facade's one dimension jump table: `with_dim!(dim, f(args…))` calls
+/// the monomorphized `f::<D>(args…)` for `D == dim`, one arm per dimension
+/// in `MIN_DIM..=MAX_DIM`, and evaluates to
+/// `Err(Error::UnsupportedDimension(dim))` for any other `dim`. `f` must
+/// return `Result<_, Error>`.
+macro_rules! with_dim {
+    ($dim:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $dim {
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            dim => Err($crate::Error::UnsupportedDimension(dim)),
+        }
+    };
+}
+
 mod cloud;
 mod concurrent;
 mod error;
@@ -70,7 +99,7 @@ pub use cloud::PointCloud;
 pub use concurrent::{ConcurrentSession, Generation, UpdateOutcome};
 pub use error::Error;
 pub use labels::Labels;
-pub use session::{ClusterSession, QueryOutcome, SessionBuilder, SweepCell, UpdateHandle};
+pub use session::{ClusterSession, QueryOutcome, SweepCell, UpdateHandle};
 
 /// The DBSCAN parameters (ε, minPts) — the pipeline's
 /// [`pardbscan::DbscanParams`], re-exported as the facade's parameter type.
@@ -132,9 +161,9 @@ pub use obs;
 
 /// One-shot exact DBSCAN over a runtime-dimension point cloud: the
 /// dimension-erased counterpart of [`pardbscan::dbscan`], dispatched
-/// through the core crate's sealed [`pardbscan::ErasedPipeline`] jump
-/// table. No session state is built or kept; for repeated queries over the
-/// same points, open a [`ClusterSession`] instead.
+/// through the same dimension jump table as [`ClusterSession`]. No session
+/// state is built or kept; for repeated queries over the same points, open
+/// a [`ClusterSession`] instead.
 ///
 /// ```
 /// use dbscan::{cluster, Params, PointCloud};
@@ -166,10 +195,18 @@ pub fn cluster_variant(
     params: Params,
     variant: VariantConfig,
 ) -> Result<Labels, Error> {
-    let pipeline =
-        pardbscan::erased_pipeline(cloud.dim()).ok_or(Error::UnsupportedDimension(cloud.dim()))?;
-    let clustering = pipeline.cluster(cloud.coords(), params, variant)?;
-    Ok(Labels::from(clustering))
+    fn run<const D: usize>(
+        coords: &[f64],
+        params: Params,
+        variant: VariantConfig,
+    ) -> Result<Labels, Error> {
+        let points = geom::points_from_flat::<D>(coords);
+        let clustering = pardbscan::Dbscan::new(&points, params)
+            .variant(variant)
+            .run()?;
+        Ok(Labels::from(clustering))
+    }
+    with_dim!(cloud.dim(), run(cloud.coords(), params, variant))
 }
 
 #[cfg(test)]

@@ -25,82 +25,12 @@ use crate::cloud::PointCloud;
 use crate::error::Error;
 use crate::labels::Labels;
 use dbscan_durable::{DurableClusterer, DurableOptions, RealStorage, Storage};
-use dbscan_engine::{CacheStats, Engine, QueryStats, Snapshot};
+use dbscan_engine::{CacheStats, QueryStats, Snapshot};
 use dbscan_stream::{StreamingClusterer, UpdateBatch, UpdateStats};
 use geom::{points_from_flat, Point};
 use pardbscan::{DbscanParams, SweepGrid, VariantConfig};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-
-/// Configures and opens [`ClusterSession`]s.
-///
-/// Two kinds of knob. The cache capacities mirror the engine's: how many
-/// spatial indexes (distinct ε values, roughly) and core sets (distinct
-/// `(ε, minPts)` pairs) the session caches between queries; they are
-/// reapplied when a streaming handle freezes back into sweep mode.
-/// [`SessionBuilder::durable`] persists the point set and write-ahead logs
-/// every streaming update. Every session clusters through the same engine
-/// pipeline, whichever knobs are set.
-#[derive(Debug, Clone, Default)]
-pub struct SessionBuilder {
-    engine: Engine,
-    durable: Option<(PathBuf, DurableOptions)>,
-}
-
-impl SessionBuilder {
-    /// A builder with the engine's default cache capacities.
-    pub fn new() -> Self {
-        SessionBuilder::default()
-    }
-
-    /// Sets how many spatial indexes the session keeps cached.
-    pub fn partition_cache_capacity(mut self, capacity: usize) -> Self {
-        self.engine = self.engine.partition_cache_capacity(capacity);
-        self
-    }
-
-    /// Sets how many core sets the session keeps cached.
-    pub fn core_cache_capacity(mut self, capacity: usize) -> Self {
-        self.engine = self.engine.core_cache_capacity(capacity);
-        self
-    }
-
-    /// Attaches durability: the session's point set is persisted under
-    /// `dir` (a snapshot at ingest and after every streaming episode), and
-    /// every [`ClusterSession::updates`] episode write-ahead logs its
-    /// batches per `options` before applying them. Reopen later with
-    /// [`ClusterSession::open_durable`].
-    pub fn durable(mut self, dir: impl AsRef<Path>, options: DurableOptions) -> Self {
-        self.durable = Some((dir.as_ref().to_path_buf(), options));
-        self
-    }
-
-    /// Ingests a validated point cloud and opens the session. Fails with
-    /// [`Error::UnsupportedDimension`] when the cloud's dimensionality is
-    /// outside 2..=8. With [`SessionBuilder::durable`] configured, also
-    /// (re)initializes the store directory with a snapshot of the cloud.
-    pub fn ingest(self, cloud: PointCloud) -> Result<ClusterSession, Error> {
-        let dim = cloud.dim();
-        let inner = open_session(self.engine, &cloud, self.durable)?;
-        Ok(ClusterSession::from_parts(dim, inner))
-    }
-
-    /// Opens the session persisted in the durable store at `dir`: recovers
-    /// the live point set (newest snapshot plus WAL replay), checkpoints so
-    /// the next open needs no replay, and serves it in indexed mode. The
-    /// dimensionality is read from the store's headers.
-    pub fn open_durable(
-        self,
-        dir: impl AsRef<Path>,
-        options: DurableOptions,
-    ) -> Result<ClusterSession, Error> {
-        let dir = dir.as_ref();
-        let storage = RealStorage::shared();
-        let dim = dbscan_durable::store_dim(&storage, dir)? as usize;
-        let inner = open_durable_session(self.engine, storage, dir, options, dim)?;
-        Ok(ClusterSession::from_parts(dim, inner))
-    }
-}
 
 /// One clustering result grid cell of a [`ClusterSession::sweep`].
 pub struct SweepCell {
@@ -204,26 +134,44 @@ impl std::fmt::Debug for ClusterSession {
 }
 
 impl ClusterSession {
-    /// Starts configuring a session (cache capacities, then
-    /// [`SessionBuilder::ingest`]).
-    pub fn builder() -> SessionBuilder {
-        SessionBuilder::new()
-    }
-
-    /// Opens a session over `cloud` with default cache capacities.
+    /// Opens a session over `cloud`. Fails with
+    /// [`Error::UnsupportedDimension`] when the cloud's dimensionality is
+    /// outside 2..=8.
     pub fn ingest(cloud: PointCloud) -> Result<Self, Error> {
-        SessionBuilder::new().ingest(cloud)
+        Self::from_cloud(&cloud, None)
     }
 
     /// Opens a session over `cloud` persisted in the durable store at
-    /// `dir` (see [`SessionBuilder::durable`]). Any prior store at `dir`
-    /// is reinitialized.
+    /// `dir`: the point set is persisted (a snapshot at ingest and after
+    /// every streaming episode), and every [`ClusterSession::updates`]
+    /// episode write-ahead logs its batches per `options` before applying
+    /// them. Any prior store at `dir` is reinitialized. Reopen later with
+    /// [`ClusterSession::open_durable`].
     pub fn ingest_durable(
         cloud: PointCloud,
         dir: impl AsRef<Path>,
         options: DurableOptions,
     ) -> Result<Self, Error> {
-        SessionBuilder::new().durable(dir, options).ingest(cloud)
+        Self::from_cloud(&cloud, Some((dir.as_ref().to_path_buf(), options)))
+    }
+
+    /// The dimension dispatch behind [`ClusterSession::ingest`] and
+    /// [`ClusterSession::ingest_durable`].
+    fn from_cloud(
+        cloud: &PointCloud,
+        durable: Option<(PathBuf, DurableOptions)>,
+    ) -> Result<Self, Error> {
+        fn state<const D: usize>(
+            coords: &[f64],
+            durable: Option<(PathBuf, DurableOptions)>,
+        ) -> Result<Box<dyn ErasedSession>, Error> {
+            Ok(Box::new(SessionState::<D>::new(
+                points_from_flat::<D>(coords),
+                durable,
+            )?))
+        }
+        let inner = with_dim!(cloud.dim(), state(cloud.coords(), durable))?;
+        Ok(ClusterSession::from_parts(cloud.dim(), inner))
     }
 
     /// Reopens the session persisted in the durable store at `dir`:
@@ -251,12 +199,16 @@ impl ClusterSession {
     /// # Ok::<(), dbscan::Error>(())
     /// ```
     pub fn open_durable(dir: impl AsRef<Path>, options: DurableOptions) -> Result<Self, Error> {
-        SessionBuilder::new().open_durable(dir, options)
+        let dir = dir.as_ref();
+        let storage = RealStorage::shared();
+        let dim = dbscan_durable::store_dim(&storage, dir)? as usize;
+        let inner = with_dim!(dim, recover(storage, dir, options))?;
+        Ok(ClusterSession::from_parts(dim, inner))
     }
 
     /// Wraps an already-dispatched session state — the constructor behind
-    /// the builder and the generational publish path, which uses it for
-    /// each immutable published generation.
+    /// the ingest and open paths and the generational publish path, which
+    /// uses it for each immutable published generation.
     pub(crate) fn from_parts(dim: usize, inner: Box<dyn ErasedSession>) -> Self {
         ClusterSession {
             dim,
@@ -336,8 +288,8 @@ impl ClusterSession {
     pub fn sweep(&self, grid: impl Into<SweepGrid>) -> Result<Vec<SweepCell>, Error> {
         let grid = grid.into();
         let (eps_grid, min_pts_grid, variant) = (grid.eps, grid.min_pts, grid.variant);
-        let span =
-            obs::Span::enter("session", obs::phase::SWEEP).n(eps_grid.len() * min_pts_grid.len());
+        let span = obs::Span::enter("session", obs::phase::SWEEP)
+            .n(self.num_points() * eps_grid.len() * min_pts_grid.len());
         let scope = obs::OpScope::begin(span, rayon::pool_busy_nanos());
         let grid = self.inner.sweep(&eps_grid, &min_pts_grid, variant)?;
         let mut report = scope.finish(rayon::pool_busy_nanos(), rayon::pool_threads());
@@ -353,7 +305,6 @@ impl ClusterSession {
         if let [min_pts] = *min_pts_grid {
             report.min_pts = min_pts;
         }
-        report.n = self.num_points() * grid.len().max(1);
         report.cells_visited = grid.iter().map(|c| c.stats.num_cells).sum();
         report.num_core_points = grid.iter().map(|c| c.stats.num_core_points).sum();
         report.phases = obs::PhaseExecution::fold(grid.iter().map(|c| &c.stats.phases[..]));
@@ -556,8 +507,8 @@ impl Drop for UpdateHandle<'_> {
 }
 
 /// The object-safe surface each monomorphized session state implements.
-/// Crate-private and implemented only by [`SessionState`]: the jump table
-/// in [`open_session`] is the sole constructor, so every trait object in a
+/// Crate-private and implemented only by [`SessionState`], which only the
+/// facade's dimension jump table constructs, so every trait object in a
 /// [`ClusterSession`] is backed by this crate's dispatch. (The
 /// `crate::concurrent` module drives it directly for the generational
 /// publish path.)
@@ -591,20 +542,17 @@ pub(crate) trait ErasedSession: Send + Sync {
 
 /// The session's mode: an engine snapshot (query/sweep service) or a
 /// streaming clusterer (update service) — write-ahead logged when the
-/// session is durable. `Transitioning` exists only inside mode changes
-/// (the enum must be takeable by value). The variants are boxed: exactly
-/// one `Mode` exists per session, so the indirection is irrelevant, and it
-/// keeps the enum pointer-sized.
+/// session is durable. The variants are boxed: exactly one `Mode` exists
+/// per session, so the indirection is irrelevant, and it keeps the enum
+/// pointer-sized.
 enum Mode<const D: usize> {
     Indexed(Box<Snapshot<D>>),
     Streaming(Box<StreamingClusterer<D>>),
     DurableStreaming(Box<DurableClusterer<D>>),
-    Transitioning,
 }
 
 /// The monomorphized state behind a [`ClusterSession`] for one dimension.
 struct SessionState<const D: usize> {
-    engine: Engine,
     mode: Mode<D>,
     /// Present on durable sessions: the store directory and the WAL
     /// policy every streaming episode runs under.
@@ -613,7 +561,6 @@ struct SessionState<const D: usize> {
 
 impl<const D: usize> SessionState<D> {
     fn new(
-        engine: Engine,
         points: Vec<Point<D>>,
         durable: Option<(PathBuf, DurableOptions)>,
     ) -> Result<Self, Error> {
@@ -622,10 +569,8 @@ impl<const D: usize> SessionState<D> {
             // session recovers to at least its ingest state.
             dbscan_durable::init_store(&RealStorage::shared(), dir, points.clone(), None)?;
         }
-        let snapshot = engine.index(points);
         Ok(SessionState {
-            engine,
-            mode: Mode::Indexed(Box::new(snapshot)),
+            mode: Mode::Indexed(Box::new(Snapshot::new(points, 0))),
             durable,
         })
     }
@@ -656,7 +601,6 @@ impl<const D: usize> ErasedSession for SessionState<D> {
             Mode::Indexed(snapshot) => snapshot.num_points(),
             Mode::Streaming(clusterer) => clusterer.num_live(),
             Mode::DurableStreaming(durable) => durable.num_live(),
-            Mode::Transitioning => unreachable!("mode transitions are not observable"),
         }
     }
 
@@ -751,44 +695,28 @@ impl<const D: usize> ErasedSession for SessionState<D> {
     }
 
     fn freeze(&mut self) {
-        match std::mem::replace(&mut self.mode, Mode::Transitioning) {
-            Mode::Streaming(clusterer) => {
-                let points: Vec<Point<D>> = clusterer
-                    .live_points()
-                    .into_iter()
-                    .map(|(_, p)| p)
-                    .collect();
-                self.mode = Mode::Indexed(Box::new(self.engine.index(points)));
-            }
-            Mode::DurableStreaming(mut durable) => {
+        let snapshot = match &mut self.mode {
+            Mode::Streaming(clusterer) => clusterer.snapshot_live(0),
+            Mode::DurableStreaming(durable) => {
                 // Best-effort final checkpoint (freeze runs from Drop, so
                 // the error cannot propagate): if it fails, the WAL still
                 // holds every logged batch and recovery replays them — only
                 // the log compaction is lost.
                 let _ = durable.checkpoint();
-                let points: Vec<Point<D>> =
-                    durable.live_points().into_iter().map(|(_, p)| p).collect();
-                self.mode = Mode::Indexed(Box::new(self.engine.index(points)));
+                durable.clusterer().snapshot_live(0)
             }
-            _ => unreachable!("freeze requires a streaming mode"),
-        }
+            Mode::Indexed(_) => unreachable!("freeze requires a streaming mode"),
+        };
+        self.mode = Mode::Indexed(Box::new(snapshot));
     }
 
     fn publish_indexed(&self, first_generation: u64) -> Result<Box<dyn ErasedSession>, Error> {
         let snapshot = match &self.mode {
-            Mode::Indexed(snapshot) => self.engine.index_from_generation(
-                snapshot.points().to_vec(),
-                Vec::new(),
-                first_generation,
-            ),
-            Mode::Streaming(clusterer) => clusterer.snapshot_live(&self.engine, first_generation),
-            Mode::DurableStreaming(durable) => durable
-                .clusterer()
-                .snapshot_live(&self.engine, first_generation),
-            Mode::Transitioning => unreachable!("mode transitions are not observable"),
+            Mode::Indexed(snapshot) => Snapshot::new(snapshot.points().to_vec(), first_generation),
+            Mode::Streaming(clusterer) => clusterer.snapshot_live(first_generation),
+            Mode::DurableStreaming(durable) => durable.clusterer().snapshot_live(first_generation),
         };
         Ok(Box::new(SessionState {
-            engine: self.engine.clone(),
             mode: Mode::Indexed(Box::new(snapshot)),
             // Published generations are immutable read replicas; the store
             // stays owned by the writer they were published from.
@@ -807,95 +735,33 @@ impl<const D: usize> ErasedSession for SessionState<D> {
     }
 }
 
-/// The dimension dispatch: packs the cloud into `Point<D>`s and
-/// monomorphizes the session state for every supported dimension, one jump
-/// table arm each. Dimensions outside the table report
-/// [`Error::UnsupportedDimension`].
-///
-/// The arms must cover exactly
-/// `pardbscan::ERASED_DIM_MIN..=ERASED_DIM_MAX` — the same range as the
-/// core crate's `erased_pipeline` jump table, which the one-shot
-/// [`crate::cluster`] path dispatches through (and which the error message
-/// quotes). The `session_range_equals_erased_pipeline_range` test pins the
-/// two tables together.
-fn open_session(
-    engine: Engine,
-    cloud: &PointCloud,
-    durable: Option<(PathBuf, DurableOptions)>,
-) -> Result<Box<dyn ErasedSession>, Error> {
-    macro_rules! open_dim {
-        ($d:literal) => {
-            Box::new(SessionState::<$d>::new(
-                engine,
-                points_from_flat::<$d>(cloud.coords()),
-                durable,
-            )?) as Box<dyn ErasedSession>
-        };
-    }
-    Ok(match cloud.dim() {
-        2 => open_dim!(2),
-        3 => open_dim!(3),
-        4 => open_dim!(4),
-        5 => open_dim!(5),
-        6 => open_dim!(6),
-        7 => open_dim!(7),
-        8 => open_dim!(8),
-        dim => return Err(Error::UnsupportedDimension(dim)),
-    })
-}
-
-/// The durable twin of [`open_session`]: recovers the store at `dir` for
-/// the store's own dimensionality (read from its file headers) and serves
-/// the recovered points in indexed mode.
-fn open_durable_session(
-    engine: Engine,
+/// Recovers the durable store at `dir` as a `D`-dimensional session state
+/// serving the recovered points in indexed mode — the
+/// [`ClusterSession::open_durable`] arm of the dimension jump table.
+fn recover<const D: usize>(
     storage: Arc<dyn Storage>,
     dir: &Path,
     options: DurableOptions,
-    dim: usize,
 ) -> Result<Box<dyn ErasedSession>, Error> {
-    fn recover<const D: usize>(
-        engine: Engine,
-        storage: Arc<dyn Storage>,
-        dir: &Path,
-        options: DurableOptions,
-    ) -> Result<SessionState<D>, Error> {
-        let has_wal = storage.exists(&dir.join(dbscan_durable::wal::WAL_FILE));
-        let snapshot = dbscan_durable::read_store_snapshot::<D>(&storage, dir)?;
-        let points: Vec<Point<D>> = match (&snapshot, has_wal) {
-            // An idle store (ingested or frozen, never streamed since):
-            // nothing to replay.
-            (Some(s), false) if s.params.is_none() => s.points.clone(),
-            // Anything else goes through full recovery; the checkpoint
-            // afterwards means the *next* open takes the idle path or a
-            // replay-free one.
-            _ => {
-                let mut durable = DurableClusterer::<D>::open(storage, dir, options)?;
-                durable.checkpoint()?;
-                durable.live_points().into_iter().map(|(_, p)| p).collect()
-            }
-        };
-        Ok(SessionState {
-            mode: Mode::Indexed(Box::new(engine.index(points))),
-            engine,
-            durable: Some((dir.to_path_buf(), options)),
-        })
-    }
-    macro_rules! open_dim {
-        ($d:literal) => {
-            Box::new(recover::<$d>(engine, storage, dir, options)?) as Box<dyn ErasedSession>
-        };
-    }
-    Ok(match dim {
-        2 => open_dim!(2),
-        3 => open_dim!(3),
-        4 => open_dim!(4),
-        5 => open_dim!(5),
-        6 => open_dim!(6),
-        7 => open_dim!(7),
-        8 => open_dim!(8),
-        dim => return Err(Error::UnsupportedDimension(dim)),
-    })
+    let has_wal = storage.exists(&dir.join(dbscan_durable::wal::WAL_FILE));
+    let snapshot = dbscan_durable::read_store_snapshot::<D>(&storage, dir)?;
+    let points: Vec<Point<D>> = match (snapshot, has_wal) {
+        // An idle store (ingested or frozen, never streamed since):
+        // nothing to replay.
+        (Some(s), false) if s.params.is_none() => s.points,
+        // Anything else goes through full recovery; the checkpoint
+        // afterwards means the *next* open takes the idle path or a
+        // replay-free one.
+        _ => {
+            let mut durable = DurableClusterer::<D>::open(storage, dir, options)?;
+            durable.checkpoint()?;
+            durable.live_points().into_iter().map(|(_, p)| p).collect()
+        }
+    };
+    Ok(Box::new(SessionState {
+        mode: Mode::Indexed(Box::new(Snapshot::new(points, 0))),
+        durable: Some((dir.to_path_buf(), options)),
+    }))
 }
 
 #[cfg(test)]
@@ -939,27 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn session_range_equals_erased_pipeline_range() {
-        // The session's jump table and the core crate's erased_pipeline
-        // table are written separately; this pins them to the same set so
-        // extending one without the other fails loudly.
-        for dim in 1..=pardbscan::ERASED_DIM_MAX + 4 {
-            let cloud = PointCloud::new(dim, Vec::new()).unwrap();
-            let session_accepts = ClusterSession::ingest(cloud).is_ok();
-            assert_eq!(
-                session_accepts,
-                pardbscan::erased_pipeline(dim).is_some(),
-                "dimension {dim}: session and erased_pipeline must agree"
-            );
-            assert_eq!(
-                session_accepts,
-                (pardbscan::ERASED_DIM_MIN..=pardbscan::ERASED_DIM_MAX).contains(&dim),
-                "dimension {dim}: advertised constants must match the table"
-            );
-        }
-    }
-
-    #[test]
     fn update_episodes_renumber_point_ids() {
         // Documented contract: ids are per-episode. Episode 1 deletes id 0;
         // after the freeze, episode 2's live ids are renumbered from 0
@@ -976,11 +821,7 @@ mod tests {
 
     #[test]
     fn one_session_serves_queries_sweeps_and_updates() {
-        let mut session = ClusterSession::builder()
-            .partition_cache_capacity(4)
-            .core_cache_capacity(8)
-            .ingest(grid_cloud(10, 0.1))
-            .unwrap();
+        let mut session = ClusterSession::ingest(grid_cloud(10, 0.1)).unwrap();
         let params = DbscanParams::new(0.2, 4);
 
         let one_shot = session.cluster(params).unwrap();

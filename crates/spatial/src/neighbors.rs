@@ -37,15 +37,6 @@ impl NeighborGraph {
         }
     }
 
-    /// Assembles a graph from raw CSR parts. Panics if the offsets are not
-    /// monotone or do not cover `targets` exactly (a malformed graph would
-    /// otherwise surface as out-of-bounds slicing deep in a query).
-    pub fn from_parts(offsets: Vec<usize>, targets: Vec<usize>) -> Self {
-        NeighborGraph {
-            cells: Csr::from_parts(offsets, targets),
-        }
-    }
-
     /// Number of cells.
     pub fn num_cells(&self) -> usize {
         self.cells.num_rows()
@@ -109,19 +100,5 @@ mod tests {
         assert_eq!(graph.num_cells(), 0);
         assert_eq!(graph.num_edges(), 0);
         assert_eq!(graph, NeighborGraph::from_lists(&[]));
-    }
-
-    #[test]
-    fn from_parts_validates() {
-        let graph = NeighborGraph::from_parts(vec![0, 2, 2, 3], vec![1, 2, 0]);
-        assert_eq!(graph.of(0), &[1, 2]);
-        assert_eq!(graph.of(1), &[] as &[usize]);
-        assert_eq!(graph.of(2), &[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover values")]
-    fn from_parts_rejects_short_offsets() {
-        NeighborGraph::from_parts(vec![0, 1], vec![1, 2, 0]);
     }
 }

@@ -1,14 +1,11 @@
-//! Engine snapshot persistence on the real filesystem: `persist` writes a
-//! versioned, checksummed image of the points *and* every cached spatial
-//! index; `load` rehydrates it into a snapshot whose queries are
-//! label-identical and whose warmed (ε, cell-method) pairs are served
-//! entirely from the persisted indexes — zero partition rebuilds after a
-//! process restart.
+//! Store snapshots on the real filesystem: `init_store` over an existing
+//! store replaces its snapshot atomically (write a temporary, rename it
+//! over), a missing store is an I/O error, and a store read at the wrong
+//! dimension is a typed corruption error rather than misread floats.
 
-use dbscan_durable::{LoadSnapshot, PersistSnapshot};
-use dbscan_engine::Engine;
+use dbscan::{ClusterSession, DurableOptions};
+use dbscan_durable::{init_store, read_store_snapshot, DurableError, RealStorage};
 use geom::Point;
-use pardbscan::{CellMethod, DbscanParams, VariantConfig};
 use rand::prelude::*;
 use std::path::PathBuf;
 
@@ -24,139 +21,66 @@ fn random_points<const D: usize>(n: usize, extent: f64, rng: &mut StdRng) -> Vec
         .collect()
 }
 
+/// A fresh directory per test, so reruns and parallel tests never share one.
 fn tmp(name: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("engine_snapshots");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
-fn check_round_trip<const D: usize>(seed: u64, n: usize) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let points = random_points::<D>(n, 3.0, &mut rng);
-    let grid = [
-        DbscanParams::new(0.4, 3),
-        DbscanParams::new(0.7, 4),
-        DbscanParams::new(0.4, 6), // same ε as the first: shares its index
-    ];
-
-    // Warm the engine: three queries populate the partition cache with the
-    // two distinct ε values.
-    let snapshot = Engine::new().index(points.clone());
-    let originals: Vec<_> = grid
-        .iter()
-        .map(|&p| snapshot.query(p).unwrap().clustering)
-        .collect();
-
-    let path = tmp(&format!("round_trip_{D}d_{seed}.bin"));
-    snapshot.persist(&path).unwrap();
-
-    // A fresh engine — a restarted process — rehydrates the image.
-    let engine = Engine::new();
-    let loaded = engine.load::<D>(&path).unwrap();
-    assert_eq!(loaded.points(), points.as_slice());
-    for (&p, original) in grid.iter().zip(&originals) {
-        let result = loaded.query(p).unwrap();
-        assert_eq!(
-            &result.clustering, original,
-            "D={D} seed={seed} eps={} minPts={}: loaded labels diverged",
-            p.eps, p.min_pts
-        );
-        assert!(
-            result.stats.partition_cache_hit,
-            "D={D} seed={seed} eps={}: warmed index was not rehydrated",
-            p.eps
-        );
-    }
-    // Every queried ε was served from the persisted indexes: the loaded
-    // snapshot never rebuilt a partition.
-    assert_eq!(loaded.cache_stats().partition_misses, 0);
-}
-
-#[test]
-fn persisted_snapshots_round_trip_across_dimensions() {
-    check_round_trip::<2>(11, 160);
-    check_round_trip::<3>(12, 120);
-    check_round_trip::<5>(13, 90);
-}
-
-#[test]
-fn both_2d_cell_methods_survive_persistence() {
-    let mut rng = StdRng::seed_from_u64(21);
-    let points = random_points::<2>(140, 3.0, &mut rng);
-    let params = DbscanParams::new(0.5, 4);
-    let snapshot = Engine::new().index(points);
-    // Grid and Box partitions of the same ε are distinct cache entries;
-    // both must persist and rehydrate.
-    let grid = snapshot
-        .query_variant(params, VariantConfig::exact())
-        .unwrap()
-        .clustering;
-    let boxed = snapshot
-        .query_variant(
-            params,
-            VariantConfig::two_d(CellMethod::Box, pardbscan::CellGraphMethod::Bcp),
-        )
-        .unwrap()
-        .clustering;
-
-    let path = tmp("cell_methods.bin");
-    snapshot.persist(&path).unwrap();
-    let loaded = Engine::new().load::<2>(&path).unwrap();
-    assert_eq!(
-        loaded
-            .query_variant(params, VariantConfig::exact())
-            .unwrap()
-            .clustering,
-        grid
-    );
-    assert_eq!(
-        loaded
-            .query_variant(
-                params,
-                VariantConfig::two_d(CellMethod::Box, pardbscan::CellGraphMethod::Bcp),
-            )
-            .unwrap()
-            .clustering,
-        boxed
-    );
-    assert_eq!(loaded.cache_stats().partition_misses, 0);
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("store_snapshots")
+        .join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 #[test]
 fn persist_overwrites_atomically_and_missing_files_are_io_errors() {
     let mut rng = StdRng::seed_from_u64(31);
-    let path = tmp("overwrite.bin");
+    let storage = RealStorage::shared();
+    let base = tmp("overwrite");
+    let dir = base.join("store");
 
-    // First image: 60 points.
-    let first = Engine::new().index(random_points::<2>(60, 3.0, &mut rng));
-    first.persist(&path).unwrap();
-    // Second image over the same path: 90 points. The replace is atomic
-    // (write to a temporary, rename over), so the path always holds one
-    // complete image.
-    let second = Engine::new().index(random_points::<2>(90, 3.0, &mut rng));
-    second.persist(&path).unwrap();
+    // First image: 60 points. Second image over the same store: 90 points.
+    // The replace is atomic, so the store always holds one complete image.
+    init_store(&storage, &dir, random_points::<2>(60, 3.0, &mut rng), None).unwrap();
+    let second = random_points::<2>(90, 3.0, &mut rng);
+    init_store(&storage, &dir, second.clone(), None).unwrap();
 
-    let loaded = Engine::new().load::<2>(&path).unwrap();
-    assert_eq!(loaded.num_points(), 90);
-    assert_eq!(loaded.points(), second.points());
+    let snapshot = read_store_snapshot::<2>(&storage, &dir).unwrap().unwrap();
+    assert_eq!(snapshot.points, second);
+    let files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert_eq!(
+        files,
+        ["snapshot.0.bin"],
+        "one complete image, no temporary"
+    );
+    let session = ClusterSession::open_durable(&dir, DurableOptions::default()).unwrap();
+    assert_eq!(session.num_points(), 90);
 
-    let missing = tmp("does_not_exist.bin");
+    let missing = base.join("does_not_exist");
     assert!(matches!(
-        Engine::new().load::<2>(&missing),
-        Err(dbscan_durable::DurableError::Io(_))
+        read_store_snapshot::<2>(&storage, &missing),
+        Err(DurableError::Io(_))
+    ));
+    assert!(matches!(
+        ClusterSession::open_durable(&missing, DurableOptions::default()),
+        Err(dbscan::Error::Io(_))
     ));
 }
 
 #[test]
 fn wrong_dimension_load_is_a_typed_error() {
     let mut rng = StdRng::seed_from_u64(41);
-    let path = tmp("dim_mismatch.bin");
-    let snapshot = Engine::new().index(random_points::<3>(50, 3.0, &mut rng));
-    snapshot.persist(&path).unwrap();
-    // Loading a 3-dimensional image as 2-dimensional must fail with a
+    let storage = RealStorage::shared();
+    let dir = tmp("dim_mismatch");
+    init_store(&storage, &dir, random_points::<3>(50, 3.0, &mut rng), None).unwrap();
+    // Reading a 3-dimensional store as 2-dimensional must fail with a
     // typed corruption error naming the mismatch, not misread the floats.
     assert!(matches!(
-        Engine::new().load::<2>(&path),
-        Err(dbscan_durable::DurableError::Corrupt { .. })
+        read_store_snapshot::<2>(&storage, &dir),
+        Err(DurableError::Corrupt { .. })
     ));
+    // The facade reads the store's own dimension from its header.
+    let session = ClusterSession::open_durable(&dir, DurableOptions::default()).unwrap();
+    assert_eq!((session.dim(), session.num_points()), (3, 50));
 }

@@ -11,7 +11,7 @@
 //! algorithm is free to vary between runs, so it is checked for core-flag
 //! identity and engine-internal consistency instead).
 
-use dbscan_engine::Engine;
+use dbscan_engine::Snapshot;
 use geom::Point;
 use pardbscan::{CellGraphMethod, CellMethod, Dbscan, DbscanParams, MarkCoreMethod, VariantConfig};
 use rand::prelude::*;
@@ -58,7 +58,7 @@ fn check_engine_matches_oneshot<const D: usize>(
     params_grid: &[(f64, usize)],
     variants: &[VariantConfig],
 ) {
-    let snapshot = Engine::new().index(points.to_vec());
+    let snapshot = Snapshot::new(points.to_vec(), 0);
     for &(eps, min_pts) in params_grid {
         let params = DbscanParams::new(eps, min_pts);
         for &variant in variants {
@@ -112,7 +112,7 @@ fn engine_query_matches_oneshot_across_dims_and_variants() {
 fn engine_sweep_matches_oneshot_and_reuses_partitions() {
     let mut rng = StdRng::seed_from_u64(0xE2);
     let pts = random_points::<2>(400, 12.0, &mut rng);
-    let snapshot = Engine::new().index(pts.clone());
+    let snapshot = Snapshot::new(pts.clone(), 0);
 
     // A 5 × 2 grid: ten queries over five distinct ε values.
     let eps_grid = [0.5, 0.8, 1.1, 1.4, 1.7];
@@ -170,7 +170,7 @@ fn engine_approximate_queries_are_internally_consistent() {
     // must agree with the one-shot run on them.
     let mut rng = StdRng::seed_from_u64(0xE3);
     let pts = random_points::<3>(300, 6.0, &mut rng);
-    let snapshot = Engine::new().index(pts.clone());
+    let snapshot = Snapshot::new(pts.clone(), 0);
     for (eps, min_pts, rho) in [(0.8, 4, 0.01), (1.2, 6, 0.1), (0.8, 4, 0.5)] {
         let params = DbscanParams::new(eps, min_pts);
         for variant in [VariantConfig::approx(rho), VariantConfig::approx_qt(rho)] {
@@ -202,7 +202,7 @@ fn engine_mark_core_method_sharing_does_not_change_labels() {
     // from-scratch QuadTree run.
     let mut rng = StdRng::seed_from_u64(0xE4);
     let pts = random_points::<2>(350, 10.0, &mut rng);
-    let snapshot = Engine::new().index(pts.clone());
+    let snapshot = Snapshot::new(pts.clone(), 0);
     let params = DbscanParams::new(0.9, 5);
 
     let scan = snapshot

@@ -26,7 +26,7 @@ fn assert_facade_matches_static<const D: usize>(
     let cloud = PointCloud::new(D, flat_from_points(points)).expect("generated data is finite");
     let params = Params::new(eps, min_pts);
 
-    // Path 1: the one-shot free function (ErasedPipeline jump table).
+    // Path 1: the one-shot free function (the facade's dimension jump table).
     let one_shot = cluster(&cloud, params).expect("facade accepts the data");
     assert_eq!(one_shot.as_clustering(), &want, "{context}: one-shot");
 

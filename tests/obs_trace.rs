@@ -1,7 +1,7 @@
 //! Invariant tests for `DBSCAN_OBS=trace`: each phase is timed once, so
-//! stats, EXPLAIN and the trace report the same duration for it, and the
-//! registry's cache counters stay in lock-step with the engine's
-//! per-snapshot `CacheStats`.
+//! stats, EXPLAIN and the trace report the same duration for it, a sweep's
+//! EXPLAIN and its span agree on `n`, and the registry's cache counters
+//! stay in lock-step with the engine's per-snapshot `CacheStats`.
 //!
 //! Own-process integration binary (same pattern as `force_scalar.rs`): the
 //! mode is read once per process, so the variable must be set before the
@@ -83,13 +83,23 @@ fn trace_spans_and_registry_agree_with_query_stats() {
     );
 
     // --- Invariant 2: after a scripted sweep, the registry's cache-counter
-    // deltas equal the per-snapshot CacheStats deltas (single write path).
+    // deltas equal the per-snapshot CacheStats deltas (single write path),
+    // and EXPLAIN's n is the session sweep span's.
     let before_report = session.metrics();
     let before_stats = session.cache_stats();
+    let _ = session.take_trace();
     let grid = session.sweep(([0.2, 0.3], [3, 5])).unwrap();
     assert_eq!(grid.len(), 4);
+    let trace = session.take_trace();
     let after_report = session.metrics();
     let after_stats = session.cache_stats();
+    let sweep_spans: Vec<usize> = trace
+        .iter()
+        .filter(|s| s.path == "session" && s.phase == obs::phase::SWEEP)
+        .map(|s| s.n)
+        .collect();
+    assert_eq!(sweep_spans, [session.explain_last().unwrap().n]);
+    assert_eq!(sweep_spans, [rows.len() * grid.len()]);
 
     let registry_delta = |name: &str| -> usize {
         (after_report.counter(name).unwrap_or(0) - before_report.counter(name).unwrap_or(0))
