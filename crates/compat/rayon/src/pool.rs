@@ -35,11 +35,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-/// A type-erased, lifetime-erased unit of work plus its completion latch.
-type QueuedJob = Box<dyn FnOnce() + Send + 'static>;
-
 /// The payload of a panicking job, carried back to the scope that waits.
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
+
+/// A type-erased, lifetime-erased unit of work that returns its panic
+/// payload instead of unwinding, plus the latch of the scope that waits for
+/// it. The worker completes the latch only after it has counted the job.
+type QueuedJob = (
+    Box<dyn FnOnce() -> Option<PanicPayload> + Send + 'static>,
+    Arc<Latch>,
+);
 
 struct Queue {
     jobs: Mutex<VecDeque<QueuedJob>>,
@@ -139,7 +144,7 @@ fn ensure_workers() {
 fn worker_loop(queue: &'static Queue, counters: &'static WorkerCounters) {
     loop {
         let wait_start = Instant::now();
-        let job = {
+        let (job, latch) = {
             let mut jobs = lock(&queue.jobs);
             loop {
                 if let Some(job) = jobs.pop_front() {
@@ -155,11 +160,14 @@ fn worker_loop(queue: &'static Queue, counters: &'static WorkerCounters) {
             .idle_ns
             .fetch_add(wait_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let busy_start = Instant::now();
-        job();
+        let panic = job();
         counters
             .busy_ns
             .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         counters.tasks.fetch_add(1, Ordering::Relaxed);
+        // Count first, then wake the scope: a caller that reads the pool
+        // counters after its scope returns sees every job it submitted.
+        latch.complete(panic);
     }
 }
 
@@ -300,16 +308,12 @@ impl<'env> Scope<'env> {
         // panic, so the job (and everything it borrows from `'env`) is done
         // executing before the borrows can expire. See the module docs.
         let job: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(job) };
-        let latch = Arc::clone(&self.latch);
         ensure_workers();
         let queue = queue();
-        {
-            let mut jobs = lock(&queue.jobs);
-            jobs.push_back(Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(job));
-                latch.complete(result.err());
-            }));
-        }
+        lock(&queue.jobs).push_back((
+            Box::new(move || catch_unwind(AssertUnwindSafe(job)).err()),
+            Arc::clone(&self.latch),
+        ));
         queue.available.notify_one();
     }
 }
@@ -331,6 +335,37 @@ pub(crate) fn scope<'env, R>(f: impl FnOnce(&mut Scope<'env>) -> R) -> R {
                 resume_unwind(panic);
             }
             value
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_returned_scope_has_counted_every_job_it_submitted() {
+        if crate::pool_worker_count() == 0 {
+            return; // no workers: nothing may be submitted
+        }
+        const JOBS: u64 = 64;
+        for _ in 0..500 {
+            let before = pool_stats().total_tasks();
+            // The test thread is not a pool worker, so waiting here without
+            // a budget token cannot starve the pool.
+            scope(|s| {
+                for i in 0..JOBS {
+                    s.submit(Box::new(move || {
+                        std::hint::black_box(i);
+                    }));
+                }
+            });
+            let after = pool_stats().total_tasks();
+            assert!(
+                after - before >= JOBS,
+                "{} of {JOBS} jobs counted when the scope returned",
+                after - before
+            );
         }
     }
 }

@@ -23,7 +23,7 @@
 use crate::params::{CellMethod, DbscanError};
 use geom::Point;
 use rayon::prelude::*;
-use spatial::{box_partition, grid_partition, CellKdTree, CellPartition, NeighborGraph};
+use spatial::{box_partition, grid_partition, CellPartition, NeighborGraph};
 
 /// Immutable phase-1 state: the ε-cell partition of a point set plus the
 /// per-cell neighbour lists. Reusable by every query with the same
@@ -49,10 +49,10 @@ pub struct SpatialIndex<const D: usize> {
 impl<const D: usize> SpatialIndex<D> {
     /// Builds the partition and the neighbour lists (Algorithm 1 line 2).
     ///
-    /// Neighbour cells are found with grid-key enumeration when the grid
-    /// method is used (the paper's 2D approach, constant candidates per
-    /// cell), and with the k-d tree over cells otherwise (§5.1; also the
-    /// only option for the irregular box cells).
+    /// The neighbour lists come from [`NeighborGraph::build`]: grid-key
+    /// enumeration for grid cells in 2D (the paper's approach, constant
+    /// candidates per cell), the k-d tree over cells otherwise (§5.1; also
+    /// the only option for the irregular box cells).
     ///
     /// Fails with [`DbscanError::RequiresTwoDimensions`] if the box method
     /// is requested for `D != 2`, and with [`DbscanError::InvalidParams`]
@@ -116,12 +116,11 @@ impl<const D: usize> SpatialIndex<D> {
             }
         };
 
-        let neighbors = compute_neighbors(&partition, eps);
         Ok(SpatialIndex {
             eps,
             cell_method,
+            neighbors: std::sync::Arc::new(NeighborGraph::build(&partition)),
             partition,
-            neighbors: std::sync::Arc::new(neighbors),
         })
     }
 
@@ -426,42 +425,6 @@ where
             })
         })
         .collect()
-}
-
-/// Computes, for every cell, the sorted ids of the other cells whose boxes
-/// are within ε, flattened into the CSR [`NeighborGraph`].
-///
-/// In 2D the grid-key enumeration of §4.1 is used (a constant number of
-/// candidate keys looked up in the concurrent hash table). For d ≥ 3 the
-/// number of candidate keys grows exponentially with d, so — exactly as the
-/// paper prescribes in §5.1 — the non-empty cells are put in a k-d tree and
-/// each cell range-queries it for the non-empty neighbours. The box method
-/// has irregular cells with no key arithmetic, so it always uses the k-d
-/// tree.
-fn compute_neighbors<const D: usize>(partition: &CellPartition<D>, eps: f64) -> NeighborGraph {
-    if partition.num_cells() == 0 {
-        return NeighborGraph::empty();
-    }
-    let lists: Vec<Vec<usize>> = match &partition.grid_index {
-        Some(index) if D <= 2 => (0..partition.num_cells())
-            .into_par_iter()
-            .map(|c| {
-                let key = partition.cells[c].key.expect("grid cells have keys");
-                let mut nbrs = index.neighbor_cells(&key);
-                nbrs.sort_unstable();
-                nbrs
-            })
-            .collect(),
-        _ => {
-            let boxes: Vec<geom::BoundingBox<D>> = partition.cells.iter().map(|c| c.bbox).collect();
-            let tree = CellKdTree::build(&boxes);
-            (0..partition.num_cells())
-                .into_par_iter()
-                .map(|c| tree.cells_within(&boxes[c], eps, c))
-                .collect()
-        }
-    };
-    NeighborGraph::from_lists(&lists)
 }
 
 #[cfg(test)]

@@ -263,7 +263,7 @@ impl<const D: usize> DurableClusterer<D> {
             (None, Vec::new())
         };
 
-        let (base_lsn, params, points, ext_ids, next_ext_id) = match &snapshot {
+        let (base_lsn, params, points, ext_ids, next_ext_id) = match snapshot {
             Some(s) => {
                 let params = wal
                     .as_ref()
@@ -272,13 +272,7 @@ impl<const D: usize> DurableClusterer<D> {
                     .ok_or_else(|| {
                         DurableError::corrupt(None, "store has neither WAL nor snapshot parameters")
                     })?;
-                (
-                    s.base_lsn,
-                    params,
-                    s.points.clone(),
-                    s.ext_ids.clone(),
-                    s.next_ext_id,
-                )
+                (s.base_lsn, params, s.points, s.ext_ids, s.next_ext_id)
             }
             None => {
                 let wal_ref = wal.as_ref().ok_or_else(|| {

@@ -123,8 +123,11 @@ impl<const D: usize> StreamingClusterer<D> {
         let params = DbscanParams::new(index.eps, min_pts);
         params.validate()?;
         let (core_set, _) = mark_core_phase(index, min_pts, MarkCoreMethod::Scan);
-        let overlay = OverlayPartition::from_partition(index.partition.clone())
-            .map_err(StreamError::Unsupported)?;
+        let overlay = OverlayPartition::from_partition(
+            index.partition.clone(),
+            std::sync::Arc::clone(&index.neighbors),
+        )
+        .map_err(StreamError::Unsupported)?;
 
         let mut clusterer = StreamingClusterer {
             params,
@@ -195,7 +198,7 @@ impl<const D: usize> StreamingClusterer<D> {
         let border_cells: Vec<usize> = (0..num_cells)
             .filter(|&c| index.partition.cells[c].len < min_pts)
             .collect();
-        clusterer.recompute_adjacency(&border_cells, &HashMap::new());
+        clusterer.recompute_adjacency(&border_cells);
         Ok(clusterer)
     }
 
@@ -320,44 +323,33 @@ impl<const D: usize> StreamingClusterer<D> {
         // is all-core regardless of its neighbours, so untouched neighbour
         // cells of that size cannot change and are skipped.
         //
-        // Cell liveness is stable for the rest of the call (all overlay
-        // updates happened in step 1), so each cell's neighbour list is
-        // computed once here and shared by every later step — the candidate
-        // enumeration in 3D alone walks 342 keys per cell. The phase's span
-        // covers that memo as well as the region pass.
+        // `neighbor_cells` reads a cell's list from the overlay's neighbour
+        // graph at the cost of the cell's degree, so every step below asks
+        // the overlay directly. Cell liveness is fixed from here until the
+        // compaction in step 6, so each ask returns the same list.
         let min_pts = self.params.min_pts;
         let step = obs::Span::enter("core", obs::phase::MARK_CORE_REGION)
             .eps(self.params.eps)
             .min_pts(min_pts);
-        let mut nbr_memo: HashMap<usize, Vec<usize>> = HashMap::new();
-        for &c in &touched {
-            nbr_memo.insert(c, self.overlay.neighbor_cells(c));
-        }
         let mut dirty: BTreeSet<usize> = touched.clone();
         for &c in &touched {
             dirty.extend(
-                nbr_memo[&c]
-                    .iter()
-                    .copied()
+                self.overlay
+                    .neighbor_cells(c)
+                    .into_iter()
                     .filter(|&h| self.overlay.cell_live(h) < min_pts),
             );
-        }
-        for &c in &dirty {
-            nbr_memo
-                .entry(c)
-                .or_insert_with(|| self.overlay.neighbor_cells(c));
         }
         let dirty_vec: Vec<usize> = dirty.iter().copied().collect();
         stats.cells_touched = dirty_vec.len();
         let step = step.n(dirty_vec.len());
         let overlay = &self.overlay;
-        let memo = &nbr_memo;
         let region = mark_core_region(
             self.params.eps,
             min_pts,
             &dirty_vec,
             |c| overlay.live_points_of_cell(c),
-            |c| memo[&c].clone(),
+            |c| overlay.neighbor_cells(c),
         );
         stats.phases.push(PhaseExecution::finished(step));
 
@@ -403,10 +395,10 @@ impl<const D: usize> StreamingClusterer<D> {
                 continue;
             }
             let s = self.ensure_slot(self.overlay.cell_key(c));
-            // `changed` cells are all touched or dirty, so the memo has them.
-            let nbrs: Vec<usize> = nbr_memo[&c]
-                .iter()
-                .copied()
+            let nbrs: Vec<usize> = self
+                .overlay
+                .neighbor_cells(c)
+                .into_iter()
                 .filter(|&h| self.core_count_cached(h, &mut core_count_cache, &mut scratch) > 0)
                 .collect();
             let c_lost = lost.contains(&c);
@@ -530,13 +522,13 @@ impl<const D: usize> StreamingClusterer<D> {
         let mut adj_cells: BTreeSet<usize> = touched;
         adj_cells.extend(changed.iter().copied());
         for &c in &changed {
-            adj_cells.extend(nbr_memo[&c].iter().copied());
+            adj_cells.extend(self.overlay.neighbor_cells(c));
         }
         let adj_vec: Vec<usize> = adj_cells
             .into_iter()
             .filter(|&c| self.overlay.cell_live(c) < min_pts)
             .collect();
-        stats.adjacency_updates = self.recompute_adjacency(&adj_vec, &nbr_memo);
+        stats.adjacency_updates = self.recompute_adjacency(&adj_vec);
 
         // ── 6. Amortized compaction: when the insert/tombstone overlay has
         // outgrown the base, re-semisort the live set. Cell ids change;
@@ -668,14 +660,9 @@ impl<const D: usize> StreamingClusterer<D> {
     }
 
     /// Recomputes the border adjacency (core cells within ε, as keys) of
-    /// every live non-core point of `cells`. Neighbour lists already in
-    /// `nbr_memo` are reused; misses are enumerated fresh. Returns the
-    /// number of points updated.
-    fn recompute_adjacency(
-        &mut self,
-        cells: &[usize],
-        nbr_memo: &HashMap<usize, Vec<usize>>,
-    ) -> usize {
+    /// every live non-core point of `cells`. Returns the number of points
+    /// updated.
+    fn recompute_adjacency(&mut self, cells: &[usize]) -> usize {
         let overlay = &self.overlay;
         let core = &self.core;
         let eps_sq = self.params.eps * self.params.eps;
@@ -691,14 +678,10 @@ impl<const D: usize> StreamingClusterer<D> {
                 if border.is_empty() {
                     return Vec::new();
                 }
-                let neighbors = nbr_memo
-                    .get(&c)
-                    .cloned()
-                    .unwrap_or_else(|| overlay.neighbor_cells(c));
                 // The core points a border point can reach live in its own
                 // cell or an ε-neighbour cell.
                 let targets: Vec<([i64; D], Vec<Point<D>>)> = std::iter::once(c)
-                    .chain(neighbors)
+                    .chain(overlay.neighbor_cells(c))
                     .filter_map(|h| {
                         let cores: Vec<Point<D>> = overlay
                             .live_points_of_cell(h)

@@ -15,7 +15,9 @@
 //!   without re-semisorting: per-cell insert lists, tombstoned deletions,
 //!   and an amortized compaction that re-semisorts the live set while
 //!   keeping every cell *key* stable (the rebuild is anchored at the
-//!   original grid origin).
+//!   original grid origin). A cell's ε-neighbours are its row of the
+//!   spatial index's neighbour graph plus the cells inserts created beside
+//!   it, so reading them costs the cell's degree in any dimension.
 //! * **MarkCore** — a point's range count changes only if a touched cell
 //!   intersects its ε-neighbourhood, so [`pardbscan::mark_core_region`]
 //!   recomputes flags for the touched cells and their ε-neighbours only.

@@ -385,11 +385,11 @@ impl ClusterSession {
     /// earlier handle do not address the same points in a later one —
     /// re-read [`UpdateHandle::live_ids`] at the start of every episode.
     ///
-    /// The incremental maintenance underneath enumerates grid-key
-    /// neighbourhoods whose size grows steeply with the dimension; it is
-    /// engineered for the low-dimensional regime (d ≤ 3 is where the
-    /// paper's grid constants are small). Higher-dimensional sessions can
-    /// still stream, but per-update costs rise accordingly.
+    /// The incremental maintenance underneath reads each cell's
+    /// ε-neighbours from the spatial index's neighbour graph (a cell an
+    /// insert creates finds its own once, with a k-d tree query), so a
+    /// batch costs work proportional to the cells it touches and their
+    /// degree, in every supported dimension.
     pub fn updates(&mut self, params: impl Into<DbscanParams>) -> Result<UpdateHandle<'_>, Error> {
         let params = params.into();
         self.inner.begin_updates(params)?;

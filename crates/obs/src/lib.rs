@@ -176,8 +176,8 @@ pub mod phase {
     pub const SWEEP: &str = "sweep";
     /// One streaming update batch.
     pub const APPLY: &str = "apply";
-    /// Streaming step 2: re-flag core status over the dirty region,
-    /// including building the batch's neighbour-list memo.
+    /// Streaming step 2: collect the dirty region (the touched cells and
+    /// their small ε-neighbour cells) and re-flag core status over it.
     pub const MARK_CORE_REGION: &str = "mark_core_region";
     /// Streaming step 3: BCP re-connection of surviving cell pairs.
     pub const CONNECT_REGION: &str = "connect_region";

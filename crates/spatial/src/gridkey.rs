@@ -89,18 +89,14 @@ pub fn cell_bbox<const D: usize>(key: &[i64; D], origin: &[f64; D], side: f64) -
 /// Calls `f` with every candidate neighbour key of `key`: each key within
 /// Chebyshev distance `⌈√D⌉ + 1`, excluding `key` itself. For cells of side
 /// ε/√D this radius covers every cell whose box can be within ε of `key`'s
-/// box; callers filter the candidates by presence (hash-table lookup) and by
-/// the exact box-to-box distance. Callback-shaped so the hot neighbour
-/// enumerations allocate nothing; [`candidate_neighbor_keys`] materializes
-/// the list when one is wanted.
+/// box; [`GridIndex::neighbor_cells`] filters the candidates by presence
+/// (hash-table lookup) and by the exact box-to-box distance.
 ///
-/// The candidate count is `(2·(⌈√D⌉+1)+1)^D − 1`, cheap in 2D–3D but growing
-/// quickly with the dimension; higher-dimensional callers should use the k-d
-/// tree over cells (§5.1 of the paper) instead of this enumeration.
-pub fn for_each_candidate_neighbor_key<const D: usize>(
-    key: &[i64; D],
-    mut f: impl FnMut(&[i64; D]),
-) {
+/// The candidate count is `(2·(⌈√D⌉+1)+1)^D − 1`: 48 in 2D but 59,048 in
+/// 5D. It stays private so that only the 1D/2D grid path of
+/// [`crate::NeighborGraph::build`] walks it; higher dimensions and every
+/// update path query a k-d tree over the non-empty cells (§5.1).
+fn for_each_candidate_neighbor_key<const D: usize>(key: &[i64; D], mut f: impl FnMut(&[i64; D])) {
     let radius = (D as f64).sqrt().ceil() as i64 + 1;
     let mut delta = [-radius; D];
     loop {
@@ -127,14 +123,6 @@ pub fn for_each_candidate_neighbor_key<const D: usize>(
             }
         }
     }
-}
-
-/// The candidate neighbour keys of `key` as a materialized list. See
-/// [`for_each_candidate_neighbor_key`] for the enumeration contract.
-pub fn candidate_neighbor_keys<const D: usize>(key: &[i64; D]) -> Vec<[i64; D]> {
-    let mut out = Vec::new();
-    for_each_candidate_neighbor_key(key, |nk| out.push(*nk));
-    out
 }
 
 /// Lookup structure mapping cell keys to dense cell ids, together with the
@@ -192,11 +180,12 @@ impl<const D: usize> GridIndex<D> {
 
     /// Ids of the non-empty cells that could contain a point within ε of some
     /// point of the cell with key `key` (excluding the cell itself). This is
-    /// the `NeighborCells(ε)` enumeration of the paper: a constant number of
-    /// candidate keys for constant `D` ([`for_each_candidate_neighbor_key`]),
-    /// each looked up in the hash table and kept only if its box is within ε
-    /// of the query cell's box. See [`for_each_candidate_neighbor_key`] for
-    /// the dimension caveat.
+    /// the `NeighborCells(ε)` enumeration of the paper: every key within
+    /// Chebyshev distance `⌈√D⌉ + 1` is looked up in the hash table and kept
+    /// only if its box is within ε of the query cell's box. That is
+    /// `(2·(⌈√D⌉+1)+1)^D − 1` probes, a constant for constant `D` but 48 in
+    /// 2D against 59,048 in 5D, so [`crate::NeighborGraph::build`] calls this
+    /// only for D ≤ 2 and queries a [`crate::CellKdTree`] above that.
     pub fn neighbor_cells(&self, key: &[i64; D]) -> Vec<usize> {
         let my_box = cell_bbox(key, &self.origin, self.side);
         // Slightly inflated cutoff: the box-to-box filter is conservative (the

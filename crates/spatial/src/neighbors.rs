@@ -1,7 +1,9 @@
 //! CSR adjacency over the cells of a partition.
 //!
 //! Phase 1 of the pipeline computes, for every cell, the ids of the other
-//! cells whose boxes are within ε. Storing that as `Vec<Vec<usize>>` costs
+//! cells whose boxes are within ε ([`NeighborGraph::build`], the one
+//! builder: the pipeline's spatial index and the updatable overlay's
+//! compaction both call it). Storing that as `Vec<Vec<usize>>` costs
 //! one heap allocation per cell and scatters the lists across the heap —
 //! exactly the indirection the hot RangeCount and BCP loops then pay on
 //! every neighbour walk. [`NeighborGraph`] is the flat alternative: a
@@ -10,7 +12,10 @@
 //! neighbours are a contiguous slice, the whole structure is two
 //! allocations, and sharing it costs one `Arc`.
 
+use crate::kdtree::CellKdTree;
+use crate::partition::CellPartition;
 use parprims::Csr;
+use rayon::prelude::*;
 
 /// Flat compressed-sparse-row adjacency: `graph.of(c)` (or `graph[c]`) is
 /// the slice of neighbour cell ids of cell `c`, in the order the builder
@@ -28,6 +33,43 @@ impl NeighborGraph {
         NeighborGraph {
             cells: Csr::empty(),
         }
+    }
+
+    /// Computes, for every cell of `partition`, the sorted ids of the other
+    /// cells whose boxes are within the partition's ε.
+    ///
+    /// Grid partitions in 1D and 2D enumerate candidate keys (§4.1): a
+    /// constant number per cell (48 in 2D), each looked up in the grid's
+    /// hash table. For d ≥ 3 the candidate count grows exponentially with
+    /// d, so — exactly as the paper prescribes in §5.1 — the non-empty cells
+    /// are put in a k-d tree and each cell range-queries it for its
+    /// non-empty neighbours. The box method has irregular cells with no key
+    /// arithmetic, so it always uses the k-d tree.
+    pub fn build<const D: usize>(partition: &CellPartition<D>) -> Self {
+        if partition.num_cells() == 0 {
+            return NeighborGraph::empty();
+        }
+        let lists: Vec<Vec<usize>> = match &partition.grid_index {
+            Some(index) if D <= 2 => (0..partition.num_cells())
+                .into_par_iter()
+                .map(|c| {
+                    let key = partition.cells[c].key.expect("grid cells have keys");
+                    let mut nbrs = index.neighbor_cells(&key);
+                    nbrs.sort_unstable();
+                    nbrs
+                })
+                .collect(),
+            _ => {
+                let boxes: Vec<geom::BoundingBox<D>> =
+                    partition.cells.iter().map(|c| c.bbox).collect();
+                let tree = CellKdTree::build(&boxes);
+                (0..partition.num_cells())
+                    .into_par_iter()
+                    .map(|c| tree.cells_within(&boxes[c], partition.eps, c))
+                    .collect()
+            }
+        };
+        NeighborGraph::from_lists(&lists)
     }
 
     /// Flattens per-cell neighbour lists into CSR form.

@@ -15,12 +15,20 @@
 //!   by `alive` plus its insert list;
 //! * cells that did not exist in the base are appended on demand when an
 //!   insert lands in an empty region of the grid;
+//! * the ε-neighbour lists of the base cells are the base's
+//!   [`NeighborGraph`], shared with the spatial index the overlay was built
+//!   from. A cell created by an insert finds its neighbours once, when it is
+//!   created: a range query over a [`CellKdTree`] of the base cell boxes
+//!   (built when the first such cell appears after each compaction) plus a
+//!   scan of the cells created since. It then appends itself to each
+//!   neighbour's list, so [`OverlayPartition::neighbor_cells`] costs the
+//!   cell's degree in any dimension, never a walk over candidate keys;
 //! * once the overlay grows past a threshold fraction of the live set
 //!   ([`OverlayPartition::needs_compaction`]), [`OverlayPartition::compact`]
 //!   rebuilds the base from the live points with
 //!   [`grid_partition_anchored`] — crucially reusing the original grid
 //!   origin, so cell *keys* are stable across compactions even though cell
-//!   *ids* are not.
+//!   *ids* are not — and its neighbour graph with [`NeighborGraph::build`].
 //!
 //! Point ids are stable handles: an inserted point's id is never reused,
 //! deletion never renumbers, and compaction only reorganizes storage. The
@@ -28,12 +36,13 @@
 //! (core flags, component membership, border adjacency) by point id or by
 //! cell key, so a compaction invalidates nothing but cell ids.
 
-use crate::gridkey::{
-    cell_bbox, cell_key, check_key_range, for_each_candidate_neighbor_key, KeyOverflow,
-};
+use crate::gridkey::{cell_bbox, cell_key, check_key_range, KeyOverflow};
+use crate::kdtree::CellKdTree;
+use crate::neighbors::NeighborGraph;
 use crate::partition::{grid_partition_anchored, CellPartition};
 use geom::{BoundingBox, Point};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One cell of an [`OverlayPartition`]: a base cell plus its insert list, or
 /// a fresh cell created by inserts alone.
@@ -49,6 +58,11 @@ pub struct OverlayCell<const D: usize> {
     pub inserts: Vec<usize>,
     /// Number of live points in the cell (base survivors + inserts).
     pub live: usize,
+    /// The ε-neighbours of this cell that the base's neighbour graph does
+    /// not hold: for a base cell, the cells created by inserts beside it;
+    /// for a cell created by an insert, all of its neighbours. Lists keep
+    /// cells that have since emptied.
+    pub added_neighbors: Vec<usize>,
 }
 
 /// A grid cell partition that supports point insertions and deletions.
@@ -72,6 +86,14 @@ pub struct OverlayPartition<const D: usize> {
     in_base: Vec<bool>,
     cells: Vec<OverlayCell<D>>,
     key_to_cell: HashMap<[i64; D], usize>,
+    /// The ε-neighbour lists of the base cells (cell `c < base.num_cells()`
+    /// is base cell `c`), shared with the spatial index the overlay was
+    /// built from until a compaction rebuilds them.
+    base_neighbors: Arc<NeighborGraph>,
+    /// A k-d tree over the base cell boxes, for the neighbour search of
+    /// cells created by inserts. Built when the first such cell appears
+    /// after each compaction.
+    base_tree: Option<CellKdTree<D>>,
     live: usize,
     /// Tombstoned base slots: dead entries the base still stores.
     garbage: usize,
@@ -84,14 +106,27 @@ pub struct OverlayPartition<const D: usize> {
 }
 
 impl<const D: usize> OverlayPartition<D> {
-    /// Wraps a grid partition in a mutable overlay. The partition must come
-    /// from the grid construction (the box method's irregular cells have no
-    /// key arithmetic to place new points with).
-    pub fn from_partition(base: CellPartition<D>) -> Result<Self, String> {
+    /// Wraps a grid partition and its ε-neighbour graph (the pair a
+    /// spatial index holds; [`NeighborGraph::build`] computes the graph) in
+    /// a mutable overlay. The graph is shared, not copied. The partition
+    /// must come from the grid construction (the box method's irregular
+    /// cells have no key arithmetic to place new points with), and the
+    /// graph must have one row per cell.
+    pub fn from_partition(
+        base: CellPartition<D>,
+        neighbors: Arc<NeighborGraph>,
+    ) -> Result<Self, String> {
         let index = base
             .grid_index
             .as_ref()
             .ok_or_else(|| "overlay requires a grid partition (cells need keys)".to_string())?;
+        if neighbors.num_cells() != base.num_cells() {
+            return Err(format!(
+                "neighbour graph has {} rows for {} cells",
+                neighbors.num_cells(),
+                base.num_cells()
+            ));
+        }
         let origin = *index.origin();
         let side = index.side();
         let n = base.num_points();
@@ -113,6 +148,7 @@ impl<const D: usize> OverlayPartition<D> {
                 base_cell: Some(c),
                 inserts: Vec::new(),
                 live: info.len,
+                added_neighbors: Vec::new(),
             });
             key_to_cell.insert(key, c);
         }
@@ -127,6 +163,8 @@ impl<const D: usize> OverlayPartition<D> {
             in_base: vec![true; n],
             cells,
             key_to_cell,
+            base_neighbors: neighbors,
+            base_tree: None,
             live: n,
             garbage: 0,
             overlay_points: 0,
@@ -243,23 +281,41 @@ impl<const D: usize> OverlayPartition<D> {
     }
 
     /// Ids of the existing cells with at least one live point whose box is
-    /// within ε of cell `c`'s box (excluding `c` itself).
+    /// within ε of cell `c`'s box (excluding `c` itself): the cell's row of
+    /// the base neighbour graph plus its added neighbours, filtered by
+    /// liveness. Costs the cell's degree, in any dimension.
     pub fn neighbor_cells(&self, c: usize) -> Vec<usize> {
-        let key = self.cells[c].key;
-        let my_box = cell_bbox(&key, &self.origin, self.side);
-        // Inflated cutoff, as in `GridIndex::neighbor_cells`: a cell at
-        // distance exactly ε must not be dropped by rounding.
-        let cutoff = self.eps * self.eps * (1.0 + 1e-9);
-        let mut out = Vec::new();
-        for_each_candidate_neighbor_key(&key, |nk| {
-            if let Some(&h) = self.key_to_cell.get(nk) {
-                if self.cells[h].live > 0
-                    && cell_bbox(nk, &self.origin, self.side).dist_sq_to_box(&my_box) <= cutoff
-                {
-                    out.push(h);
-                }
-            }
+        let cell = &self.cells[c];
+        let base_row = cell
+            .base_cell
+            .map_or(&[][..], |b| self.base_neighbors.of(b));
+        base_row
+            .iter()
+            .chain(&cell.added_neighbors)
+            .copied()
+            .filter(|&h| self.cells[h].live > 0)
+            .collect()
+    }
+
+    /// The ε-neighbours of a cell with key `key` that is about to be
+    /// created: base cells from a range query over the base cells' k-d tree
+    /// (built here on first use after a compaction), then a scan of the
+    /// cells created since. Uses the inflated cutoff of
+    /// [`CellKdTree::cells_within`], so a cell at distance exactly ε is kept
+    /// on both paths.
+    fn neighbors_of_new_cell(&mut self, key: &[i64; D]) -> Vec<usize> {
+        let my_box = cell_bbox(key, &self.origin, self.side);
+        let base = &self.base;
+        let tree = self.base_tree.get_or_insert_with(|| {
+            let boxes: Vec<BoundingBox<D>> = base.cells.iter().map(|info| info.bbox).collect();
+            CellKdTree::build(&boxes)
         });
+        let mut out = tree.cells_within(&my_box, self.eps, usize::MAX);
+        let cutoff = self.eps * self.eps * (1.0 + 1e-9);
+        out.extend(
+            (self.base.num_cells()..self.cells.len())
+                .filter(|&h| self.cell_bbox(h).dist_sq_to_box(&my_box) <= cutoff),
+        );
         out
     }
 
@@ -275,11 +331,16 @@ impl<const D: usize> OverlayPartition<D> {
             Some(&c) => (c, false),
             None => {
                 let c = self.cells.len();
+                let neighbors = self.neighbors_of_new_cell(&key);
+                for &h in &neighbors {
+                    self.cells[h].added_neighbors.push(c);
+                }
                 self.cells.push(OverlayCell {
                     key,
                     base_cell: None,
                     inserts: Vec::new(),
                     live: 0,
+                    added_neighbors: neighbors,
                 });
                 self.key_to_cell.insert(key, c);
                 (c, true)
@@ -333,7 +394,8 @@ impl<const D: usize> OverlayPartition<D> {
     }
 
     /// Rebuilds the base partition from the live points (re-semisort), with
-    /// the original grid origin so every cell keeps its key. Point ids are
+    /// the original grid origin so every cell keeps its key, and its
+    /// neighbour graph with [`NeighborGraph::build`]. Point ids are
     /// unchanged; cell *ids* are renumbered — callers with cell-id-keyed
     /// state must rebuild it (cell-*key*-keyed state survives).
     pub fn compact(&mut self) {
@@ -360,8 +422,11 @@ impl<const D: usize> OverlayPartition<D> {
                 base_cell: Some(c),
                 inserts: Vec::new(),
                 live: info.len,
+                added_neighbors: Vec::new(),
             })
             .collect();
+        self.base_neighbors = Arc::new(NeighborGraph::build(&self.base));
+        self.base_tree = None;
         self.key_to_cell = self
             .cells
             .iter()
@@ -438,20 +503,109 @@ mod tests {
     use crate::partition::grid_partition;
     use rand::prelude::*;
 
-    fn random_points(n: usize, extent: f64, seed: u64) -> Vec<Point<2>> {
+    fn random_points<const D: usize>(n: usize, extent: f64, seed: u64) -> Vec<Point<D>> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
-            .map(|_| Point::new([rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)]))
+            .map(|_| Point::new(std::array::from_fn(|_| rng.gen_range(0.0..extent))))
             .collect()
     }
 
-    fn overlay_from(pts: &[Point<2>], eps: f64) -> OverlayPartition<2> {
-        OverlayPartition::from_partition(grid_partition(pts, eps).unwrap()).unwrap()
+    fn overlay_from<const D: usize>(pts: &[Point<D>], eps: f64) -> OverlayPartition<D> {
+        let part = grid_partition(pts, eps).unwrap();
+        let graph = Arc::new(NeighborGraph::build(&part));
+        OverlayPartition::from_partition(part, graph).unwrap()
+    }
+
+    /// The live cells within ε of cell `c` (inflated cutoff, as the
+    /// builders use), found by a scan of every cell.
+    fn scanned_neighbors<const D: usize>(ov: &OverlayPartition<D>, c: usize) -> Vec<usize> {
+        let cutoff = ov.eps() * ov.eps() * (1.0 + 1e-9);
+        let my_box = ov.cell_bbox(c);
+        (0..ov.num_cells())
+            .filter(|&h| {
+                h != c && ov.cell_live(h) > 0 && ov.cell_bbox(h).dist_sq_to_box(&my_box) <= cutoff
+            })
+            .collect()
+    }
+
+    fn assert_neighbors_match_scan<const D: usize>(ov: &OverlayPartition<D>, context: &str) {
+        for c in 0..ov.num_cells() {
+            let mut got = ov.neighbor_cells(c);
+            got.sort_unstable();
+            assert_eq!(got, scanned_neighbors(ov, c), "D={D} {context}: cell {c}");
+        }
+    }
+
+    /// Inserts that open cells beside base cells and beside each other,
+    /// deletes that empty cells, and a compaction: after each step every
+    /// cell's `neighbor_cells` equals the scan.
+    fn neighbor_cells_track_churn<const D: usize>(seed: u64) {
+        let (eps, extent) = (1.0, 3.0);
+        let side = eps / (D as f64).sqrt();
+        let mut ov = overlay_from(&random_points::<D>(300, extent, seed), eps);
+        let mut rng = StdRng::seed_from_u64(seed + 1);
+        assert_neighbors_match_scan(&ov, "fresh");
+
+        // Walks out of the base's extent along one axis in steps under a
+        // cell side: the first cells a walk opens lie beside base cells,
+        // the later ones beside the walk's own earlier cells.
+        let mut walk = |ov: &mut OverlayPartition<D>, context: &str| {
+            let base_cells = ov.num_cells();
+            for w in 0..2 * D {
+                let (axis, up) = (w % D, w < D);
+                let mut p: [f64; D] = std::array::from_fn(|_| rng.gen_range(0.0..extent));
+                p[axis] = if up { extent - 0.1 } else { 0.1 };
+                for _ in 0..8 {
+                    ov.insert(Point::new(p));
+                    p[axis] += if up { 0.6 * side } else { -0.6 * side };
+                }
+            }
+            ov.validate().unwrap();
+            let created = base_cells..ov.num_cells();
+            assert!(!created.is_empty(), "D={D} {context}: the walks open cells");
+            let beside = |new: bool| {
+                created.clone().any(|c| {
+                    ov.neighbor_cells(c)
+                        .into_iter()
+                        .any(|h| (h >= base_cells) == new)
+                })
+            };
+            assert!(
+                beside(false),
+                "D={D} {context}: new cells beside base cells"
+            );
+            assert!(beside(true), "D={D} {context}: new cells beside new cells");
+            assert_neighbors_match_scan(ov, context);
+        };
+        walk(&mut ov, "after the first walks");
+
+        // Empty every third cell, base and created alike.
+        for c in (0..ov.num_cells()).step_by(3) {
+            for (id, _) in ov.live_points_of_cell(c) {
+                ov.delete(id).unwrap();
+            }
+        }
+        assert!((0..ov.num_cells()).any(|c| ov.cell_live(c) == 0));
+        assert_neighbors_match_scan(&ov, "after emptying cells");
+
+        ov.compact();
+        ov.validate().unwrap();
+        assert!((0..ov.num_cells()).all(|c| ov.cell_live(c) > 0));
+        assert_neighbors_match_scan(&ov, "after compaction");
+        // Cells created after a compaction search the rebuilt base.
+        walk(&mut ov, "after the walks past the compaction");
+    }
+
+    #[test]
+    fn neighbor_cells_match_a_scan_through_churn_and_compaction() {
+        neighbor_cells_track_churn::<2>(11);
+        neighbor_cells_track_churn::<3>(12);
+        neighbor_cells_track_churn::<5>(13);
     }
 
     #[test]
     fn from_partition_mirrors_the_base() {
-        let pts = random_points(500, 20.0, 1);
+        let pts = random_points::<2>(500, 20.0, 1);
         let ov = overlay_from(&pts, 1.5);
         assert_eq!(ov.num_live(), 500);
         ov.validate().unwrap();
@@ -463,7 +617,7 @@ mod tests {
 
     #[test]
     fn insert_and_delete_update_cells_and_counters() {
-        let pts = random_points(200, 10.0, 2);
+        let pts = random_points::<2>(200, 10.0, 2);
         let mut ov = overlay_from(&pts, 1.0);
         let (id, cell, _) = ov.insert(Point::new([5.0, 5.0]));
         assert_eq!(id, 200);
@@ -485,7 +639,7 @@ mod tests {
 
     #[test]
     fn inserts_far_outside_the_base_create_new_cells() {
-        let pts = random_points(50, 4.0, 3);
+        let pts = random_points::<2>(50, 4.0, 3);
         let mut ov = overlay_from(&pts, 1.0);
         let before = ov.num_cells();
         let (_, cell, created) = ov.insert(Point::new([-100.0, 42.0]));
@@ -503,10 +657,11 @@ mod tests {
 
     #[test]
     fn neighbor_cells_match_grid_index_on_a_fresh_overlay() {
-        let pts = random_points(800, 25.0, 4);
+        let pts = random_points::<2>(800, 25.0, 4);
         let part = grid_partition(&pts, 1.5).unwrap();
         let index = part.grid_index.as_ref().unwrap().clone();
-        let ov = OverlayPartition::from_partition(part.clone()).unwrap();
+        let graph = Arc::new(NeighborGraph::build(&part));
+        let ov = OverlayPartition::from_partition(part.clone(), graph).unwrap();
         for (c, info) in part.cells.iter().enumerate() {
             let mut want = index.neighbor_cells(&info.key.unwrap());
             want.sort_unstable();
@@ -518,7 +673,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_live_set_and_keys() {
-        let pts = random_points(300, 12.0, 5);
+        let pts = random_points::<2>(300, 12.0, 5);
         let mut ov = overlay_from(&pts, 1.0);
         let mut rng = StdRng::seed_from_u64(6);
         let mut expected_live: Vec<usize> = (0..300).collect();
@@ -553,7 +708,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_and_stops_allocating() {
-        let pts = random_points(400, 12.0, 8);
+        let pts = random_points::<2>(400, 12.0, 8);
         let mut ov = overlay_from(&pts, 1.0);
         // Churn a little so cells mix base survivors, tombstones and inserts.
         for id in (0..60).step_by(3) {
@@ -598,11 +753,12 @@ mod tests {
 
     #[test]
     fn box_partitions_are_rejected() {
-        let pts: Vec<geom::Point2> = random_points(20, 5.0, 7)
+        let pts: Vec<geom::Point2> = random_points::<2>(20, 5.0, 7)
             .iter()
             .map(|p| geom::Point2::new(p.coords))
             .collect();
         let part = crate::partition::box_partition(&pts, 1.0);
-        assert!(OverlayPartition::from_partition(part).is_err());
+        let graph = Arc::new(NeighborGraph::build(&part));
+        assert!(OverlayPartition::from_partition(part, graph).is_err());
     }
 }

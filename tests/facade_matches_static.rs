@@ -4,11 +4,11 @@
 //! a typed error before it can corrupt grid state.
 //!
 //! The label-identity property is checked on the paper's SS-simden and
-//! SS-varden seed-spreader families for D ∈ {2, 3, 5, 8} (the ISSUE's
-//! acceptance grid) on the batch paths — one-shot cluster, session query,
-//! and sweep grid cells — and the streaming/freeze path is driven with
-//! real churn at D ∈ {2, 3} (the low-dimensional regime the overlay's
-//! grid-key enumeration is engineered for; see `ClusterSession::updates`).
+//! SS-varden seed-spreader families for D ∈ {2, 3, 5, 8} on the batch
+//! paths — one-shot cluster, session query, and sweep grid cells — and the
+//! streaming/freeze path is driven with real churn over the same
+//! dimensions: the overlay reads neighbour cells from the spatial index's
+//! ε-graph, so an update costs the same kind of work in 8D as in 2D.
 
 use datagen::{seed_spreader, SeedSpreaderConfig};
 use dbscan::{cluster, ClusterSession, Error, Params, PointCloud};
@@ -113,6 +113,16 @@ fn streaming_freeze_round_trip_matches_static_2d() {
 #[test]
 fn streaming_freeze_round_trip_matches_static_3d() {
     check_streaming_round_trip::<3>(900, 1_500.0, 10);
+}
+
+#[test]
+fn streaming_freeze_round_trip_matches_static_5d() {
+    check_streaming_round_trip::<5>(900, 3_000.0, 10);
+}
+
+#[test]
+fn streaming_freeze_round_trip_matches_static_8d() {
+    check_streaming_round_trip::<8>(600, 6_000.0, 10);
 }
 
 #[test]

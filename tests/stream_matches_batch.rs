@@ -6,8 +6,10 @@
 //! and, in 2D, across the batch pipeline's cell methods, since every exact
 //! variant produces the same labels.
 //!
-//! Covered shapes: random interleavings of mixed batches, delete-all,
-//! reinsert-after-delete, and a batch that empties a whole cluster.
+//! Covered shapes: random interleavings of mixed batches (in 5D and 7D
+//! with inserts past the initial extent and a compaction mid-sequence),
+//! delete-all, reinsert-after-delete, and a batch that empties a whole
+//! cluster.
 
 use dbscan_stream::{StreamingClusterer, UpdateBatch};
 use geom::Point;
@@ -52,13 +54,27 @@ fn assert_matches_from_scratch<const D: usize>(clusterer: &StreamingClusterer<D>
 }
 
 /// Runs `rounds` random mixed batches against a mirror of the live set.
-fn churn<const D: usize>(seed: u64, n0: usize, extent: f64, params: DbscanParams, rounds: usize) {
+/// With `past_the_base`, each batch also adds a small blob just past one
+/// face of the initial extent, opening cells beside the base's edge cells
+/// and beside each other, and the overlay is compacted halfway through.
+fn churn<const D: usize>(
+    seed: u64,
+    n0: usize,
+    extent: f64,
+    params: DbscanParams,
+    rounds: usize,
+    past_the_base: bool,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let initial = random_points::<D>(n0, extent, &mut rng);
     let mut clusterer = StreamingClusterer::new(initial, params).unwrap();
     assert_matches_from_scratch(&clusterer, &format!("D={D} seed={seed} initial"));
 
     for round in 0..rounds {
+        if past_the_base && round == rounds / 2 {
+            clusterer.compact_now();
+            assert_matches_from_scratch(&clusterer, &format!("D={D} seed={seed} compacted"));
+        }
         let mut live_ids: Vec<usize> = clusterer
             .live_points()
             .into_iter()
@@ -67,8 +83,23 @@ fn churn<const D: usize>(seed: u64, n0: usize, extent: f64, params: DbscanParams
         live_ids.shuffle(&mut rng);
         let num_deletes = rng.gen_range(0..=live_ids.len().min(25));
         let deletes: Vec<usize> = live_ids[..num_deletes].to_vec();
-        let num_inserts = rng.gen_range(0..25);
-        let inserts = random_points::<D>(num_inserts, extent, &mut rng);
+        let mut inserts = random_points::<D>(rng.gen_range(0..25), extent, &mut rng);
+        if past_the_base {
+            let mut centre: [f64; D] = std::array::from_fn(|_| rng.gen_range(0.0..extent));
+            let axis = rng.gen_range(0..D);
+            let past = rng.gen_range(0.0..params.eps);
+            centre[axis] = if rng.gen_bool(0.5) {
+                extent + past
+            } else {
+                -past
+            };
+            for _ in 0..rng.gen_range(1..10) {
+                inserts.push(Point::new(std::array::from_fn(|i| {
+                    centre[i] + rng.gen_range(-0.4..0.4) * params.eps
+                })));
+            }
+        }
+        let num_inserts = inserts.len();
         let stats = clusterer.apply(UpdateBatch { inserts, deletes }).unwrap();
         assert_eq!(stats.inserted, num_inserts);
         assert_eq!(stats.deleted, num_deletes);
@@ -81,16 +112,26 @@ fn churn<const D: usize>(seed: u64, n0: usize, extent: f64, params: DbscanParams
 
 #[test]
 fn random_interleavings_match_from_scratch_2d() {
-    churn::<2>(0xA1, 180, 8.0, DbscanParams::new(0.8, 5), 8);
-    churn::<2>(0xA2, 60, 3.0, DbscanParams::new(0.7, 3), 8);
+    churn::<2>(0xA1, 180, 8.0, DbscanParams::new(0.8, 5), 8, false);
+    churn::<2>(0xA2, 60, 3.0, DbscanParams::new(0.7, 3), 8, false);
     // minPts = 1: every point is core, clusters are ε-connected components.
-    churn::<2>(0xA3, 120, 10.0, DbscanParams::new(1.2, 1), 6);
+    churn::<2>(0xA3, 120, 10.0, DbscanParams::new(1.2, 1), 6, false);
 }
 
 #[test]
 fn random_interleavings_match_from_scratch_3d() {
-    churn::<3>(0xB1, 220, 6.0, DbscanParams::new(1.0, 6), 8);
-    churn::<3>(0xB2, 90, 4.0, DbscanParams::new(0.9, 4), 6);
+    churn::<3>(0xB1, 220, 6.0, DbscanParams::new(1.0, 6), 8, false);
+    churn::<3>(0xB2, 90, 4.0, DbscanParams::new(0.9, 4), 6, false);
+}
+
+#[test]
+fn churn_past_the_base_matches_from_scratch_5d() {
+    churn::<5>(0xD1, 200, 3.0, DbscanParams::new(1.0, 5), 10, true);
+}
+
+#[test]
+fn churn_past_the_base_matches_from_scratch_7d() {
+    churn::<7>(0xD2, 200, 2.0, DbscanParams::new(1.0, 4), 10, true);
 }
 
 #[test]
